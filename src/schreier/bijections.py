@@ -15,7 +15,8 @@ each realized as a pair of maps whose images partition the next level:
   on the minimum element.
 
 ``verify_partition`` never trusts those descriptions: it re-derives every
-domain and codomain from the brute-force enumeration oracle, applies the
+domain and codomain from the brute-force enumeration oracle (the naive mask
+scans of ``enumeration``, never the structured route), applies the
 maps, and reports four independent flags (well-definedness, injectivity,
 disjointness of the two images, exact cover of the codomain).  All four
 flags true is precisely the claimed partition.  Domain errors raised by a
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .enumeration import enumerate_family_a, enumerate_family_k, enum_order_key
+from .enumeration import enumerate_family_a, enumerate_family_k
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet, SchreierClass, classify, in_family_a, in_family_k
 
@@ -125,6 +126,10 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
 
 
 # -- partition verification ---------------------------------------------------
+
+
+def _oracle_family_a(k: int, n: int) -> list[FiniteSet]:
+    return enumerate_family_a(k, n, strategy="naive")
 
 
 def _apply_in_order(
@@ -229,9 +234,9 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
             "diag_shift+diag_swap",
             n,
             None,
-            (enumerate_family_a(n - 1, n - 1), lambda F: diag_shift(F, n)),
-            (enumerate_family_a(n, n), lambda F: diag_swap(F, n)),
-            enumerate_family_a(n + 1, n + 1),
+            (_oracle_family_a(n - 1, n - 1), lambda F: diag_shift(F, n)),
+            (_oracle_family_a(n, n), lambda F: diag_swap(F, n)),
+            _oracle_family_a(n + 1, n + 1),
         )
 
     if kind == "rec3_1":
@@ -245,9 +250,9 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
             "embed+column_shift",
             n,
             k,
-            (enumerate_family_a(k, n - 1), lambda F: F),
-            (enumerate_family_a(k - 1, n - 2), lambda F: column_shift(F, k, n)),
-            enumerate_family_a(k, n),
+            (_oracle_family_a(k, n - 1), lambda F: F),
+            (_oracle_family_a(k - 1, n - 2), lambda F: column_shift(F, k, n)),
+            _oracle_family_a(k, n),
         )
 
     if k is not None:

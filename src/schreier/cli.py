@@ -175,7 +175,7 @@ def _enumerate_members(args: argparse.Namespace) -> tuple[list[FiniteSet], dict]
         if args.p is not None or args.q is not None:
             raise DomainError("enumerate: family A takes no --p/--q")
         return (
-            enumerate_family_a(args.k, args.n),
+            enumerate_family_a(args.k, args.n, strategy="structured"),
             {"family": "A", "k": args.k, "n": args.n},
         )
     if args.family == "K":

@@ -8,10 +8,14 @@ on the minimum element and on whether the zero-weighted index k occurs,
 summing binomial coefficients without materializing sets; the two routes
 check each other.
 
+Each family has exactly one mask scan (the oracle), shared by its counting
+and enumerating functions.  Family A also has a structured enumerator that
+visits only members; that is the route the command line serves, and the
+naive scan stays as the oracle the verification code checks it against.
+
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
-enumeration function returns its results in this order, and parallel scans
-merge and re-sort so serial and parallel results are byte-identical.
+enumeration function returns its results in this order.
 
 Bitmask convention: bit i-1 of a mask corresponds to element i.
 
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import binom
 from .errors import DomainError, SizeLimitError
@@ -62,56 +65,36 @@ def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
     return (len(E.elements), E.elements)
 
 
-def _mask_to_set(mask: int) -> FiniteSet:
-    elems = []
-    i = 1
-    while mask:
-        if mask & 1:
-            elems.append(i)
-        mask >>= 1
-        i += 1
-    return FiniteSet(tuple(elems))
-
-
-def _chunk_ranges(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    span = hi - lo
-    if span <= 0:
-        return []
-    step = (span + workers - 1) // workers
-    return [(s, min(s + step, hi)) for s in range(lo, hi, step)]
-
-
-def _run_chunks(fn, lo: int, hi: int, workers: int) -> list:
-    """Apply fn(lo, hi) over contiguous chunks, in chunk order."""
-    if workers <= 1:
-        return [fn(lo, hi)]
-    ranges = _chunk_ranges(lo, hi, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
+def _members_in_order(masks: list[int], top: int | None = None) -> list[FiniteSet]:
+    """Build one FiniteSet per mask, with the pinned maximum ``top`` appended
+    when given (every mask bit lies below it), and return them in EnumOrder."""
+    members = []
+    for m in masks:
+        elems = []
+        while m:
+            low = m & -m
+            elems.append(low.bit_length())
+            m ^= low
+        if top is not None:
+            elems.append(top)
+        members.append(FiniteSet(tuple(elems)))
+    members.sort(key=enum_order_key)
+    return members
 
 
 # -- family A: weight-k admissible sets with max <= n -----------------------
 
 
-def _count_a_chunk(k: int, n: int, lo: int, hi: int) -> int:
-    """Count nonempty member masks in [lo, hi) by the raw definition."""
+def _a_member_masks(k: int, n: int, what: str) -> list[int]:
+    """Scan every subset of {1..n} and keep the members by the raw
+    definition: the empty set, and each set whose min exceeds its weight."""
+    _require_naive_size(n, what)
     kshift = k - 1
-    count = 0
-    for m in range(lo, hi):
-        wsize = m.bit_count() - ((m >> kshift) & 1)
-        if (m & -m).bit_length() > wsize:
-            count += 1
-    return count
-
-
-def _collect_a_chunk(k: int, n: int, lo: int, hi: int) -> list[int]:
-    kshift = k - 1
-    hits = []
-    for m in range(lo, hi):
-        wsize = m.bit_count() - ((m >> kshift) & 1)
-        if (m & -m).bit_length() > wsize:
-            hits.append(m)
-    return hits
+    return [0] + [
+        m
+        for m in range(1, 1 << n)
+        if (m & -m).bit_length() > m.bit_count() - ((m >> kshift) & 1)
+    ]
 
 
 def _count_a_by_min(k: int, n: int) -> int:
@@ -158,7 +141,7 @@ def _iter_a_structured(k: int, n: int):
                     yield FiniteSet(tuple(sorted((m, k) + tail)))
 
 
-def count_family_a(k: int, n: int, strategy: str = "naive", *, workers: int = 1) -> int:
+def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
     """Count the bounded weight-k family over {1..n}, empty set included.
 
     strategy "naive" scans all 2**n subsets and tests the definition;
@@ -170,11 +153,7 @@ def count_family_a(k: int, n: int, strategy: str = "naive", *, workers: int = 1)
     if n < 1:
         raise DomainError(f"count_family_a: n must be >= 1, got {n}")
     if strategy == "naive":
-        _require_naive_size(n, "count_family_a")
-        parts = _run_chunks(
-            lambda lo, hi: _count_a_chunk(k, n, lo, hi), 1, 1 << n, max(1, workers)
-        )
-        return 1 + sum(parts)
+        return len(_a_member_masks(k, n, "count_family_a"))
     if strategy == "by_min":
         if n > BY_MIN_MAX_N:
             raise SizeLimitError(
@@ -184,35 +163,28 @@ def count_family_a(k: int, n: int, strategy: str = "naive", *, workers: int = 1)
     raise DomainError(f"count_family_a: unknown strategy {strategy!r}")
 
 
-def enumerate_family_a(
-    k: int, n: int, *, strategy: str = "auto", workers: int = 1
-) -> list[FiniteSet]:
-    """Return every member of the bounded weight-k family, in EnumOrder."""
+def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
+    """Return every member of the bounded weight-k family, in EnumOrder.
+
+    strategy "naive" scans all 2**n subsets (the oracle); strategy
+    "structured" visits only the members (the serving route).
+    """
     if k < 1:
         raise DomainError(f"enumerate_family_a: k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"enumerate_family_a: n must be >= 1, got {n}")
-    if strategy == "auto":
-        strategy = "naive" if n <= oracle_cap() else "structured"
     if strategy == "naive":
-        _require_naive_size(n, "enumerate_family_a")
-        parts = _run_chunks(
-            lambda lo, hi: _collect_a_chunk(k, n, lo, hi), 1, 1 << n, max(1, workers)
-        )
-        members = [FiniteSet()]
-        for chunk in parts:
-            members.extend(_mask_to_set(m) for m in chunk)
-    elif strategy == "structured":
+        return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
+    if strategy == "structured":
         if n > STRUCTURED_MAX_N:
             raise SizeLimitError(
                 f"enumerate_family_a: structured strategy capped at n <= "
                 f"{STRUCTURED_MAX_N}, got {n}"
             )
         members = list(_iter_a_structured(k, n))
-    else:
-        raise DomainError(f"enumerate_family_a: unknown strategy {strategy!r}")
-    members.sort(key=enum_order_key)
-    return members
+        members.sort(key=enum_order_key)
+        return members
+    raise DomainError(f"enumerate_family_a: unknown strategy {strategy!r}")
 
 
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
@@ -232,55 +204,41 @@ def _k_member_mask(m: int, n: int) -> bool:
     return min_elem > wsize
 
 
-def enumerate_family_k(n: int, *, workers: int = 1) -> list[FiniteSet]:
+def enumerate_family_k(n: int) -> list[FiniteSet]:
     """Return every member of the pinned family at level n, in EnumOrder."""
     if n < 2:
         raise DomainError(f"enumerate_family_k: n must be >= 2, got {n}")
     _require_naive_size(n - 1, "enumerate_family_k")
-
-    def collect(lo: int, hi: int) -> list[int]:
-        return [m for m in range(lo, hi) if _k_member_mask(m, n)]
-
-    parts = _run_chunks(collect, 0, 1 << (n - 1), max(1, workers))
-    members = []
-    for chunk in parts:
-        members.extend(_mask_to_set(m).with_element(n) for m in chunk)
-    members.sort(key=enum_order_key)
-    return members
+    return _members_in_order(
+        [m for m in range(1 << (n - 1)) if _k_member_mask(m, n)], top=n
+    )
 
 
 # -- ratio family: q * min >= p * size, pinned max --------------------------
 
 
-def _ratio_member_mask(m: int, p: int, q: int, n: int) -> bool:
-    size = m.bit_count() + 1
-    min_elem = (m & -m).bit_length() if m else n
-    return q * min_elem >= p * size
+def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
+    """Scan every subset of {1..n-1}, implicitly joined with {n}, and keep
+    those with q * min >= p * size."""
+    if p < 1 or q < 1:
+        raise DomainError(f"{what}: p, q must be >= 1, got p={p}, q={q}")
+    if n < 1:
+        raise DomainError(f"{what}: n must be >= 1, got {n}")
+    _require_naive_size(n - 1, what)
+    return [
+        m
+        for m in range(1 << (n - 1))
+        if q * ((m & -m).bit_length() if m else n) >= p * (m.bit_count() + 1)
+    ]
 
 
 def count_ratio_family(p: int, q: int, n: int) -> int:
     """Count sets with max = n and q * min >= p * size, by exhaustive scan."""
-    if p < 1 or q < 1:
-        raise DomainError(f"count_ratio_family: p, q must be >= 1, got p={p}, q={q}")
-    if n < 1:
-        raise DomainError(f"count_ratio_family: n must be >= 1, got {n}")
-    _require_naive_size(n - 1, "count_ratio_family")
-    return sum(1 for m in range(1 << (n - 1)) if _ratio_member_mask(m, p, q, n))
+    return len(_ratio_member_masks(p, q, n, "count_ratio_family"))
 
 
 def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
     """Return every member of the ratio family at level n, in EnumOrder."""
-    if p < 1 or q < 1:
-        raise DomainError(
-            f"enumerate_ratio_family: p, q must be >= 1, got p={p}, q={q}"
-        )
-    if n < 1:
-        raise DomainError(f"enumerate_ratio_family: n must be >= 1, got {n}")
-    _require_naive_size(n - 1, "enumerate_ratio_family")
-    members = [
-        _mask_to_set(m).with_element(n)
-        for m in range(1 << (n - 1))
-        if _ratio_member_mask(m, p, q, n)
-    ]
-    members.sort(key=enum_order_key)
-    return members
+    return _members_in_order(
+        _ratio_member_masks(p, q, n, "enumerate_ratio_family"), top=n
+    )

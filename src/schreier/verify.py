@@ -64,13 +64,16 @@ class Report:
 def _run_checks(
     identity: str, params: str, cases: Iterable[tuple]
 ) -> Report:
-    """Evaluate (description, got, want) triples; first mismatch wins."""
+    """Evaluate (description, got, want) triples; first mismatch wins.  A
+    range with no instance in it checks nothing, so it does not pass."""
     checks = 0
     failure: Optional[str] = None
     for desc, got, want in cases:
         checks += 1
         if failure is None and got != want:
             failure = f"{desc}: got {got}, expected {want}"
+    if checks == 0:
+        failure = "no instance in range"
     return Report(identity, params, failure is None, checks, failure)
 
 
@@ -572,7 +575,10 @@ def run_suite(
     k_max: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> list[Report]:
-    """Run a named suite and return its reports."""
+    """Run a named suite and return its reports.  Range overrides must be >= 1."""
     if name not in SUITES:
         raise DomainError(f"run_suite: unknown suite {name!r}")
+    for flag, value in (("n_max", n_max), ("k_max", k_max)):
+        if value is not None and value < 1:
+            raise DomainError(f"run_suite: {flag} must be >= 1, got {value}")
     return SUITES[name](n_max=n_max, k_max=k_max, seed=seed)

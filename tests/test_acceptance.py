@@ -29,7 +29,6 @@ from schreier.core import binom, fib
 from schreier.enumeration import (
     count_family_a,
     count_ratio_family,
-    enumerate_family_a,
     enumerate_family_k,
 )
 from schreier.verify import run_suite
@@ -84,8 +83,7 @@ def test_diagonal_is_twice_fibonacci():
     with criterion("diagonal-twice-fibonacci"):
         with budget(60):
             for n in range(1, 23):
-                workers = 4 if n >= 18 else 1
-                enum = count_family_a(n, n, "naive", workers=workers)
+                enum = count_family_a(n, n, "naive")
                 assert enum == 2 * fib(n) == diagonal_count(n), f"n={n}"
         with budget(5):
             for n in range(1, 501):
@@ -104,8 +102,7 @@ def test_worked_example_and_oracle_grid():
 
         for k in range(1, 13):
             for n in range(1, 21):
-                workers = 4 if n >= 16 else 1
-                naive = count_family_a(k, n, "naive", workers=workers)
+                naive = count_family_a(k, n, "naive")
                 assert closed_count(k, n) == naive, f"k={k} n={n}"
                 assert count_family_a(k, n, "by_min") == naive, f"k={k} n={n}"
 
@@ -123,15 +120,13 @@ def test_band_is_twice_fibonacci():
 def test_pinned_family_count_and_cases():
     with criterion("pinned-family-count-and-cases"):
         for n in range(2, 23):
-            workers = 4 if n >= 18 else 1
-            members = enumerate_family_k(n, workers=workers)
+            members = enumerate_family_k(n)
             assert len(members) == fib(n - 1) == family_k_count(n), f"n={n}"
             assert all(E.max == n for E in members), f"n={n}"
 
         for n in range(3, 23):
-            workers = 4 if n >= 17 else 1
             split = [0, 0, 0, 0]
-            for E in enumerate_family_k(n + 1, workers=workers):
+            for E in enumerate_family_k(n + 1):
                 has2, has3 = 2 in E, 3 in E
                 split[0 if has2 and has3 else 1 if has2 else 2 if has3 else 3] += 1
             want = family_k_case_counts(n)
@@ -194,11 +189,3 @@ def test_deterministic_output():
         second = subprocess.run(args, capture_output=True, timeout=120)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout == GOLDEN.read_bytes()
-
-        serial = enumerate_family_a(3, 14, strategy="naive", workers=1)
-        parallel = enumerate_family_a(3, 14, strategy="naive", workers=4)
-        assert serial == parallel
-        assert count_family_a(3, 14, "naive", workers=1) == count_family_a(
-            3, 14, "naive", workers=4
-        )
-        assert enumerate_family_k(12, workers=1) == enumerate_family_k(12, workers=4)

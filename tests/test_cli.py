@@ -171,6 +171,24 @@ def test_verify_failure_sets_exit_code(capsys):
     assert out.rstrip().endswith("FAILED")
 
 
+def test_verify_with_no_instance_in_range_fails(capsys):
+    code, out, _ = main_out(capsys, ["verify", "--suite", "thm1_4", "--n-max", "1"])
+    assert code == 1
+    assert "(0 checks): first counterexample no instance in range" in out
+    assert out.rstrip().endswith("FAILED")
+
+
+def test_verify_rejects_range_overrides_below_one(capsys):
+    for flag in ("--n-max", "--k-max"):
+        for value in ("0", "-1"):
+            code, out, err = main_out(
+                capsys, ["verify", "--suite", "eq1_2", flag, value]
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("schreier: run_suite: ")
+
+
 # -- exit codes ----------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from schreier.enumeration import (
     oracle_cap,
 )
 from schreier.errors import DomainError, SizeLimitError
-from schreier.finite_sets import FiniteSet
+from schreier.finite_sets import FiniteSet, in_family_a, in_family_k
 
 
 def canon(members):
@@ -21,13 +21,16 @@ def canon(members):
 
 
 def test_enumerate_family_a_small_examples():
-    assert canon(enumerate_family_a(1, 1)) == ["{}", "{1}"]
-    assert canon(enumerate_family_a(2, 3)) == ["{}", "{2}", "{3}", "{2,3}"]
+    for strategy in ("naive", "structured"):
+        assert canon(enumerate_family_a(1, 1, strategy=strategy)) == ["{}", "{1}"]
+        assert canon(enumerate_family_a(2, 3, strategy=strategy)) == [
+            "{}", "{2}", "{3}", "{2,3}",
+        ]
 
 
 def test_enumeration_is_in_canonical_order():
-    for k, n in ((1, 6), (3, 8), (5, 9)):
-        members = enumerate_family_a(k, n)
+    for k, n, strategy in ((1, 6, "naive"), (3, 8, "structured"), (5, 9, "naive")):
+        members = enumerate_family_a(k, n, strategy=strategy)
         assert members[0] == FiniteSet()
         assert members == sorted(members, key=enum_order_key)
         assert len(set(members)) == len(members)
@@ -117,10 +120,25 @@ def test_schreier_ratio_case_is_classical():
     ]
 
 
-def test_parallel_results_match_serial():
-    assert enumerate_family_a(5, 14, workers=4) == enumerate_family_a(5, 14)
-    assert enumerate_family_k(14, workers=4) == enumerate_family_k(14)
-    assert count_family_a(6, 15, "naive", workers=4) == count_family_a(6, 15, "naive")
+def test_mask_scans_agree_with_set_predicates():
+    # Every subset of {1..n}, built as a FiniteSet, tested by the definitions
+    # in finite_sets; the mask scans must select exactly the same sets.
+    subsets = [FiniteSet()]
+    for n in range(1, 15):
+        subsets += [FiniteSet(E.elements + (n,)) for E in subsets]
+        ordered = sorted(subsets, key=enum_order_key)
+        for k in range(1, n + 2):
+            want = [E for E in ordered if in_family_a(E, k, n)]
+            assert enumerate_family_a(k, n, strategy="naive") == want, (k, n)
+        if n >= 2:
+            assert enumerate_family_k(n) == [E for E in ordered if in_family_k(E, n)], n
+        for p in (1, 2, 3):
+            for q in (1, 2, 3):
+                want = [
+                    E for E in ordered
+                    if not E.is_empty() and E.max == n and q * E.min >= p * len(E)
+                ]
+                assert enumerate_ratio_family(p, q, n) == want, (p, q, n)
 
 
 def test_size_caps():
