@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .enumeration import enumerate_family_a, enumerate_family_k
-from .errors import DomainError, SizeLimitError
+from .enumeration import enumerate_family_a, enumerate_family_k, require_scan_within_cap
+from .errors import DomainError
 from .finite_sets import FiniteSet, SchreierClass, classify, in_family_a, in_family_k
 
 PARTITION_KINDS = ("thm1_1", "rec3_1", "thm1_4")
-_PARTITION_N_CAP = {"thm1_1": 16, "rec3_1": 18, "thm1_4": 18}
 
 
 @dataclass(frozen=True)
@@ -213,17 +212,16 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
     """Check one of the three partition constructions at level n.
 
     kind "thm1_1": the two diagonal maps partition the (n+1)-diagonal
-    family (2 <= n <= 16).  kind "rec3_1": the embedding of the (k, n-1)
+    family (2 <= n <= 23).  kind "rec3_1": the embedding of the (k, n-1)
     family and ``column_shift`` partition the (k, n) family (k >= 2,
-    max(k, 2) < n <= 18).  kind "thm1_4": ``shift_by_one`` from level n and
+    max(k, 2) < n <= 24).  kind "thm1_4": ``shift_by_one`` from level n and
     ``two_level_step`` from level n - 1 partition the pinned family at
-    level n + 1 (3 <= n <= 18).
+    level n + 1 (3 <= n <= 24).  The upper ends are the size cap on the
+    largest level's scan, which is checked before any domain is scanned.
     """
     if kind not in PARTITION_KINDS:
         raise DomainError(f"verify_partition: unknown kind {kind!r}")
-    cap = _PARTITION_N_CAP[kind]
-    if n > cap:
-        raise SizeLimitError(f"verify_partition: {kind} capped at n <= {cap}, got {n}")
+    require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"verify_partition: {kind}")
 
     if kind == "thm1_1":
         if k is not None:

@@ -25,6 +25,7 @@ from .enumeration import (
     enumerate_family_a,
     enumerate_family_k,
     enumerate_ratio_family,
+    require_scan_within_cap,
 )
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
@@ -125,6 +126,7 @@ def _table_grid(k_max: int, n_max: int, source: str) -> list[list[int]]:
         for cell in cells:
             grid[cell.k - 1][cell.n - 1] = cell.value
         return grid
+    require_scan_within_cap(n_max, "table")
     return [
         [count_family_a(k, n, "naive") for n in range(1, n_max + 1)]
         for k in range(1, k_max + 1)

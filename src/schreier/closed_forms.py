@@ -77,9 +77,11 @@ def closed_count(k: int, n: int) -> int:
         return fib(n + 1)
     if k == 1:
         return fib(l + 2) + 1
-    total = 2 * sum(binom(l, i) * fib(k - i) for i in range(0, k - 1))
+    # Each sum runs over its nonzero terms only: C(l, i) = 0 for i > l, and
+    # C(j, l - j + k) = 0 for j < (l + k) / 2.
+    total = 2 * sum(binom(l, i) * fib(k - i) for i in range(0, min(k - 1, l + 1)))
     total += 2 * binom(l, k - 1)
-    total += sum(binom(j, l - j + k) for j in range(1, l + 1))
+    total += sum(binom(j, l - j + k) for j in range((l + k + 1) // 2, l + 1))
     return total
 
 

@@ -10,8 +10,9 @@ check each other.
 
 Each family has exactly one mask scan (the oracle), shared by its counting
 and enumerating functions.  Family A also has a structured enumerator that
-visits only members; that is the route the command line serves, and the
-naive scan stays as the oracle the verification code checks it against.
+lists the members size by size, already in EnumOrder; that is the route the
+command line serves, and the naive scan stays as the oracle the verification
+code checks it against.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -19,45 +20,49 @@ enumeration function returns its results in this order.
 
 Bitmask convention: bit i-1 of a mask corresponds to element i.
 
-Size caps: naive scans refuse universes beyond 24 elements unless the
-``SCHREIER_MAX_ORACLE_N`` environment variable overrides the cap; the
-structured routes have fixed caps (40 for enumeration, 64 for counting)
-well past anything the verification suites request.
+Size cap: before it builds any set, every brute-force route counts the
+candidate sets it will visit (2**n for a naive scan of {1..n}, the member
+count for structured A), part by part, and is refused at the first partial
+sum past ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+from typing import Iterable, Iterator
 
 from .core import binom
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
 
-DEFAULT_MAX_ORACLE_N = 24
-ORACLE_N_ENV = "SCHREIER_MAX_ORACLE_N"
-STRUCTURED_MAX_N = 40
+MAX_CANDIDATES = 1 << 24
 BY_MIN_MAX_N = 64
 
 
 def oracle_cap() -> int:
-    """Current cap on naive scan universes, env-overridable per process."""
-    raw = os.environ.get(ORACLE_N_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORACLE_N
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{ORACLE_N_ENV} must be an integer, got {raw!r}") from exc
+    """The fixed cap on the number of candidate sets one request may visit."""
+    return MAX_CANDIDATES
 
 
-def _require_naive_size(n: int, what: str) -> None:
-    cap = oracle_cap()
-    if n > cap:
-        raise SizeLimitError(
-            f"{what}: universe of {n} elements exceeds the naive scan cap of "
-            f"{cap} (set {ORACLE_N_ENV} to raise it)"
-        )
+def _require_within_cap(parts: Iterable[int], what: str) -> None:
+    """Refuse a request whose candidate sets, given as nonnegative parts,
+    add up to more than MAX_CANDIDATES; stop at the first part past it."""
+    total = 0
+    for part in parts:
+        total += part
+        if total > MAX_CANDIDATES:
+            raise SizeLimitError(
+                f"{what}: more than {MAX_CANDIDATES} (2^24) candidate sets, the size cap"
+            )
+
+
+def require_scan_within_cap(n: int, what: str) -> None:
+    """Refuse a scan of the 2**n subsets of {1..n}, counted by their maximum
+    (the empty set, then 2**(i-1) with maximum i), beyond the size cap."""
+    _require_within_cap(
+        itertools.chain((1,), (1 << (i - 1) for i in range(1, n + 1))),
+        f"{what}: scan of 2^{n} subsets",
+    )
 
 
 def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
@@ -88,7 +93,7 @@ def _members_in_order(masks: list[int], top: int | None = None) -> list[FiniteSe
 def _a_member_masks(k: int, n: int, what: str) -> list[int]:
     """Scan every subset of {1..n} and keep the members by the raw
     definition: the empty set, and each set whose min exceeds its weight."""
-    _require_naive_size(n, what)
+    require_scan_within_cap(n, what)
     kshift = k - 1
     return [0] + [
         m
@@ -97,48 +102,40 @@ def _a_member_masks(k: int, n: int, what: str) -> list[int]:
     ]
 
 
-def _count_a_by_min(k: int, n: int) -> int:
-    """Binomial count partitioned on min element and membership of k.
+def _a_counts_by_min(k: int, n: int) -> Iterator[int]:
+    """Yield the sizes of the by_min partition of the family: the empty set,
+    then the members with min element m for each m = 1..n.
 
     A nonempty member with min element m consists of m, possibly k, and t
     further elements drawn from {m+1..n} minus {k}; admissibility caps t at
     m-2 (m-1 when k = m, since k contributes nothing to the weight).
     """
-    total = 1  # the empty set
+    yield 1  # the empty set
     for m in range(1, n + 1):
         if m == k:
             avail = n - m
-            total += sum(binom(avail, t) for t in range(0, min(m - 1, avail) + 1))
+            yield sum(binom(avail, t) for t in range(0, min(m - 1, avail) + 1))
             continue
         k_inside = m < k <= n
         avail = (n - m) - (1 if k_inside else 0)
         ways = sum(binom(avail, t) for t in range(0, min(m - 2, avail) + 1))
-        total += 2 * ways if k_inside else ways
-    return total
+        yield 2 * ways if k_inside else ways
 
 
-def _iter_a_structured(k: int, n: int):
-    """Yield every member of the bounded weight-k family, min element first.
+def _iter_a_structured(k: int, n: int) -> Iterator[FiniteSet]:
+    """Yield every member of the bounded weight-k family, in EnumOrder.
 
-    Mirrors the by_min partition, so it only visits actual members and never
-    scans the full powerset.
+    A member of size s has min E > |E| - [k in E] >= s - 1, so it lies in
+    {s..n} (hence s <= ceil(n/2)), and its min equals s only when k is in it.
+    Listing the s-subsets of {s..n} lexicographically, size by size, needs
+    no sort and visits F(n+2) sets in all, fewer than twice the members
+    (there are at least F(n+1) of them, whatever k is).
     """
     yield FiniteSet()
-    for m in range(1, n + 1):
-        rest = range(m + 1, n + 1)
-        if m == k:
-            cap = min(m - 1, n - m)
-            for t in range(0, cap + 1):
-                for tail in itertools.combinations(rest, t):
-                    yield FiniteSet((m,) + tail)
-            continue
-        pool = tuple(x for x in rest if x != k)
-        cap = min(m - 2, len(pool))
-        for t in range(0, cap + 1):
-            for tail in itertools.combinations(pool, t):
-                yield FiniteSet(tuple(sorted((m,) + tail)))
-                if m < k <= n:
-                    yield FiniteSet(tuple(sorted((m, k) + tail)))
+    for s in range(1, (n + 1) // 2 + 1):
+        for E in itertools.combinations(range(s, n + 1), s):
+            if E[0] > s or k in E:
+                yield FiniteSet(E)
 
 
 def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
@@ -159,7 +156,7 @@ def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
             raise SizeLimitError(
                 f"count_family_a: by_min strategy capped at n <= {BY_MIN_MAX_N}, got {n}"
             )
-        return _count_a_by_min(k, n)
+        return sum(_a_counts_by_min(k, n))
     raise DomainError(f"count_family_a: unknown strategy {strategy!r}")
 
 
@@ -167,7 +164,7 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
     """Return every member of the bounded weight-k family, in EnumOrder.
 
     strategy "naive" scans all 2**n subsets (the oracle); strategy
-    "structured" visits only the members (the serving route).
+    "structured" lists the members size by size (the serving route).
     """
     if k < 1:
         raise DomainError(f"enumerate_family_a: k must be >= 1, got {k}")
@@ -176,14 +173,10 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
     if strategy == "naive":
         return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
     if strategy == "structured":
-        if n > STRUCTURED_MAX_N:
-            raise SizeLimitError(
-                f"enumerate_family_a: structured strategy capped at n <= "
-                f"{STRUCTURED_MAX_N}, got {n}"
-            )
-        members = list(_iter_a_structured(k, n))
-        members.sort(key=enum_order_key)
-        return members
+        _require_within_cap(
+            _a_counts_by_min(k, n), f"enumerate_family_a: members of A({k}, {n})"
+        )
+        return list(_iter_a_structured(k, n))
     raise DomainError(f"enumerate_family_a: unknown strategy {strategy!r}")
 
 
@@ -208,7 +201,7 @@ def enumerate_family_k(n: int) -> list[FiniteSet]:
     """Return every member of the pinned family at level n, in EnumOrder."""
     if n < 2:
         raise DomainError(f"enumerate_family_k: n must be >= 2, got {n}")
-    _require_naive_size(n - 1, "enumerate_family_k")
+    require_scan_within_cap(n - 1, "enumerate_family_k")
     return _members_in_order(
         [m for m in range(1 << (n - 1)) if _k_member_mask(m, n)], top=n
     )
@@ -224,7 +217,7 @@ def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
         raise DomainError(f"{what}: p, q must be >= 1, got p={p}, q={q}")
     if n < 1:
         raise DomainError(f"{what}: n must be >= 1, got {n}")
-    _require_naive_size(n - 1, what)
+    require_scan_within_cap(n - 1, what)
     return [
         m
         for m in range(1 << (n - 1))

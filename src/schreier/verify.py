@@ -29,7 +29,12 @@ from .closed_forms import (
     recurrence_table,
 )
 from .core import binom, fib, fib_binom_convolution
-from .enumeration import count_family_a, count_ratio_family, enumerate_family_k
+from .enumeration import (
+    count_family_a,
+    count_ratio_family,
+    enumerate_family_k,
+    require_scan_within_cap,
+)
 from .errors import DomainError
 from .finite_sets import FiniteSet, SchreierClass, classify, in_weighted_family
 from .partial_sums import (
@@ -432,19 +437,15 @@ def suite_eq3_9(n_max=None, k_max=None, seed=None) -> list[Report]:
 def suite_eq1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     universe = n_max if n_max is not None else 14
     k_top = k_max if k_max is not None else 10
-
-    subsets = []
-    for mask in range(1 << universe):
-        elems = tuple(i + 1 for i in range(universe) if (mask >> i) & 1)
-        subsets.append(FiniteSet(elems))
+    require_scan_within_cap(universe, "suite eq1_2")
 
     def cases():
-        for k in range(1, k_top + 1):
-            for E in subsets:
-                cls = classify(E)
-                expected = cls in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL) or (
-                    cls is SchreierClass.MAXIMAL and k in E
-                )
+        for mask in range(1 << universe):
+            E = FiniteSet(tuple(i + 1 for i in range(universe) if (mask >> i) & 1))
+            cls = classify(E)
+            settled = cls in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL)
+            for k in range(1, k_top + 1):
+                expected = settled or (cls is SchreierClass.MAXIMAL and k in E)
                 yield (f"k={k} E={E}", in_weighted_family(E, k), expected)
 
     return [

@@ -14,26 +14,43 @@ import sys
 import time
 from contextlib import contextmanager
 
-from schreier.bijections import verify_partition
-from schreier.closed_forms import (
-    band_count,
-    closed_count,
-    diagonal_count,
-    diagonal_double_sum,
-    family_k_case_counts,
-    family_k_count,
-    ratio_recurrence,
-    recurrence_table,
-)
-from schreier.core import binom, fib
-from schreier.enumeration import (
-    count_family_a,
-    count_ratio_family,
-    enumerate_family_k,
-)
+from schreier.closed_forms import closed_count, recurrence_table
+from schreier.enumeration import count_family_a, enumerate_family_k
 from schreier.verify import run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
+
+# (identity, checks) of every report of a suite at its default ranges, so no
+# range can shrink unnoticed.
+DEFAULT_CHECKS = {
+    "thm1_1": [
+        ("diagonal-count-vs-enumeration", 22),
+        ("diagonal-closed-vs-double-sum-vs-2fib", 500),
+        ("diagonal-partition", 15),
+    ],
+    "thm1_2": [("closed-vs-both-oracles", 240), ("worked-expansion-(4,10)", 6)],
+    "thm1_3": [("band-vs-closed-vs-2fib", 11904)],
+    "thm1_4": [
+        ("pinned-count-vs-enumeration", 21),
+        ("pinned-case-split", 60),
+        ("pinned-partition", 16),
+        ("pinned-min2-members", 16),
+        ("pinned-min3-members", 16),
+    ],
+    "rec3_1": [("recurrence-interior-vs-closed", 363), ("column-partition", 77)],
+    "lemma3_3": [("seeded-difference", 36600)],
+    "lemma3_4": [("term-bump-difference", 36600)],
+    "lemma3_5": [("shifted-fib-transform", 793)],
+    "eq3_8": [("column-minus-transformed-first-row", 189)],
+    "eq3_9": [("fib-transform-closed-vs-operator", 793)],
+    "mpq": [(f"ratio-recurrence-p{p}q{q}", 18) for p in (1, 2, 3) for q in (1, 2, 3)],
+    "identities": [
+        ("hockey-stick", 1891),
+        ("fib-antidiagonal", 201),
+        ("fib-binom-collapse", 5174),
+        ("weighted-family-decomposition", 163840),
+    ],
+}
 
 
 @contextmanager
@@ -52,6 +69,16 @@ def budget(seconds):
     yield
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:.0f}s"
+
+
+def check_suite(name, seconds):
+    """Run a suite at its default ranges within the budget: every report
+    passes, with exactly the identities and check counts pinned above."""
+    with budget(seconds):
+        reports = run_suite(name)
+    for report in reports:
+        assert report.passed, report.render()
+    assert [(r.identity, r.checks) for r in reports] == DEFAULT_CHECKS[name]
 
 
 def golden_grid():
@@ -80,103 +107,52 @@ def test_published_table_three_sources():
 
 
 def test_diagonal_is_twice_fibonacci():
+    # diagonal count against the oracle and the double sum, and the
+    # diagonal partition
     with criterion("diagonal-twice-fibonacci"):
-        with budget(60):
-            for n in range(1, 23):
-                enum = count_family_a(n, n, "naive")
-                assert enum == 2 * fib(n) == diagonal_count(n), f"n={n}"
-        with budget(5):
-            for n in range(1, 501):
-                assert closed_count(n, n) == diagonal_double_sum(n) == 2 * fib(n), (
-                    f"n={n}"
-                )
+        check_suite("thm1_1", 60)
 
 
 def test_worked_example_and_oracle_grid():
     with criterion("worked-example-and-oracle-grid"):
-        convolution = 2 * sum(binom(6, i) * fib(4 - i) for i in range(3))
-        top = 2 * binom(6, 3)
-        tail = sum(binom(j, 6 - j + 4) for j in range(1, 7))
-        assert (convolution, top, tail) == (60, 40, 16)
-        assert closed_count(4, 10) == convolution + top + tail == 116
-
-        for k in range(1, 13):
-            for n in range(1, 21):
-                naive = count_family_a(k, n, "naive")
-                assert closed_count(k, n) == naive, f"k={k} n={n}"
-                assert count_family_a(k, n, "by_min") == naive, f"k={k} n={n}"
+        check_suite("thm1_2", 60)
 
 
 def test_band_is_twice_fibonacci():
     with criterion("band-twice-fibonacci"):
-        with budget(10):
-            for l in range(0, 31):
-                for k in range(l + 2, 401):
-                    want = 2 * fib(k + l)
-                    assert band_count(k, l) == want, f"k={k} l={l}"
-                    assert closed_count(k, k + l) == want, f"k={k} l={l}"
+        check_suite("thm1_3", 10)
 
 
 def test_pinned_family_count_and_cases():
+    # count, case split, partition and the min-2 / min-3 member claims
     with criterion("pinned-family-count-and-cases"):
+        check_suite("thm1_4", 120)
         for n in range(2, 23):
-            members = enumerate_family_k(n)
-            assert len(members) == fib(n - 1) == family_k_count(n), f"n={n}"
-            assert all(E.max == n for E in members), f"n={n}"
-
-        for n in range(3, 23):
-            split = [0, 0, 0, 0]
-            for E in enumerate_family_k(n + 1):
-                has2, has3 = 2 in E, 3 in E
-                split[0 if has2 and has3 else 1 if has2 else 2 if has3 else 3] += 1
-            want = family_k_case_counts(n)
-            assert split == [
-                want.with_both,
-                want.with_two_only,
-                want.with_three_only,
-                want.with_neither,
-            ], f"n={n}"
-            assert want.total == fib(n), f"n={n}"
+            assert all(E.max == n for E in enumerate_family_k(n)), f"n={n}"
 
 
 def test_partition_bijections():
+    # the column partition with its recurrence; the diagonal and pinned
+    # partitions run in the thm1_1 and thm1_4 suites above
     with criterion("partition-bijections"):
-        with budget(120):
-            for n in range(2, 17):
-                report = verify_partition("thm1_1", n)
-                assert report.ok, report
-            for k in range(2, 9):
-                for n in range(max(k, 2) + 1, 17):
-                    report = verify_partition("rec3_1", n, k=k)
-                    assert report.ok, report
-            for n in range(3, 19):
-                report = verify_partition("thm1_4", n)
-                assert report.ok, report
+        check_suite("rec3_1", 60)
 
 
 def test_partial_sum_lemmas():
     with criterion("partial-sum-lemmas"):
         with budget(10):
             for name in ("lemma3_3", "lemma3_4", "lemma3_5", "eq3_8", "eq3_9"):
-                for report in run_suite(name):
-                    assert report.passed, report.render()
+                check_suite(name, 10)
 
 
 def test_identity_suite():
     with criterion("identity-suite"):
-        with budget(10):
-            for report in run_suite("identities"):
-                assert report.passed, report.render()
+        check_suite("identities", 10)
 
 
 def test_ratio_recurrence_matches_oracle():
     with criterion("ratio-recurrence-vs-oracle"):
-        for p in (1, 2, 3):
-            for q in (1, 2, 3):
-                for n in range(1, 19):
-                    assert ratio_recurrence(p, q, n) == count_ratio_family(p, q, n), (
-                        f"p={p} q={q} n={n}"
-                    )
+        check_suite("mpq", 30)
 
 
 def test_deterministic_output():

@@ -114,12 +114,15 @@ def test_verify_partition_argument_errors():
 
 
 def test_verify_partition_size_caps():
+    # the largest level scans 2**(n+1) subsets for thm1_1, 2**n for the others
     with pytest.raises(SizeLimitError):
-        verify_partition("thm1_1", 17)
+        verify_partition("thm1_1", 24)
     with pytest.raises(SizeLimitError):
-        verify_partition("rec3_1", 19, k=2)
+        verify_partition("rec3_1", 25, k=2)
     with pytest.raises(SizeLimitError):
-        verify_partition("thm1_4", 19)
+        verify_partition("thm1_4", 25)
+    with pytest.raises(SizeLimitError):
+        verify_partition("thm1_4", 10**9)
 
 
 def _tiny(*sets):

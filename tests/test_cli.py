@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -210,10 +211,25 @@ def test_argparse_rejects_unknown_suite():
     assert b"invalid choice" in result.stderr
 
 
-def test_size_limit_exits_three(capsys, monkeypatch):
-    monkeypatch.setenv("SCHREIER_MAX_ORACLE_N", "6")
-    code, _, err = main_out(
-        capsys, ["table", "--k-max", "1", "--n-max", "8", "--source", "oracle"]
+def test_size_limit_exits_three(capsys):
+    start = time.perf_counter()
+    code, out, err = main_out(
+        capsys, ["table", "--k-max", "1", "--n-max", "25", "--source", "oracle"]
     )
+    assert time.perf_counter() - start < 1  # refused before the first cell
     assert code == 3
+    assert out == ""
     assert err.startswith("schreier: ")
+
+
+def test_oversized_requests_are_refused_before_any_work(capsys):
+    for argv in (
+        ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
+        ["enumerate", "--family", "A", "--k", "1", "--n", "1000000"],
+        ["verify", "--suite", "eq1_2", "--n-max", "25"],
+    ):
+        start = time.perf_counter()
+        code, out, err = main_out(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("schreier: "), argv

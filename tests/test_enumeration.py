@@ -2,6 +2,7 @@
 
 import pytest
 
+from schreier import enumeration
 from schreier.core import fib
 from schreier.enumeration import (
     count_family_a,
@@ -11,6 +12,7 @@ from schreier.enumeration import (
     enumerate_family_k,
     enumerate_ratio_family,
     oracle_cap,
+    require_scan_within_cap,
 )
 from schreier.errors import DomainError, SizeLimitError
 from schreier.finite_sets import FiniteSet, in_family_a, in_family_k
@@ -47,10 +49,11 @@ def test_count_strategies_agree_with_enumeration():
 
 
 def test_structured_enumeration_matches_naive_sets():
-    for k, n in ((1, 8), (4, 9), (7, 10), (11, 9)):
-        assert enumerate_family_a(k, n, strategy="naive") == enumerate_family_a(
-            k, n, strategy="structured"
-        )
+    for n in range(1, 15):
+        for k in range(1, n + 3):
+            assert enumerate_family_a(k, n, strategy="naive") == enumerate_family_a(
+                k, n, strategy="structured"
+            ), (k, n)
 
 
 def test_frozen_count_values():
@@ -146,28 +149,32 @@ def test_size_caps():
         count_family_a(1, 25, "naive")
     with pytest.raises(SizeLimitError):
         count_family_a(1, 65, "by_min")
+    for k in (1, 12, 36, 40):
+        with pytest.raises(SizeLimitError):
+            enumerate_family_a(k, 36, strategy="structured")
     with pytest.raises(SizeLimitError):
-        enumerate_family_a(1, 41, strategy="structured")
+        enumerate_family_a(1, 10**6, strategy="structured")
     with pytest.raises(SizeLimitError):
         enumerate_family_a(1, 25, strategy="naive")
     with pytest.raises(SizeLimitError):
         enumerate_family_k(26)
     with pytest.raises(SizeLimitError):
+        enumerate_family_k(10**12)
+    with pytest.raises(SizeLimitError):
         count_ratio_family(1, 1, 26)
 
 
-def test_oracle_cap_env_override(monkeypatch):
-    assert oracle_cap() == 24
-    monkeypatch.setenv("SCHREIER_MAX_ORACLE_N", "8")
-    assert oracle_cap() == 8
-    assert count_family_a(2, 8, "naive") == 40
+def test_oracle_cap_is_the_one_size_bound(monkeypatch):
+    assert oracle_cap() == 2**24
+    require_scan_within_cap(24, "scan")  # exactly 2**24 candidate sets
     with pytest.raises(SizeLimitError):
-        count_family_a(2, 9, "naive")
-    monkeypatch.setenv("SCHREIER_MAX_ORACLE_N", "26")
-    assert oracle_cap() == 26
-    monkeypatch.setenv("SCHREIER_MAX_ORACLE_N", "not-a-number")
-    with pytest.raises(DomainError):
-        oracle_cap()
+        require_scan_within_cap(25, "scan")
+    # The structured route is capped by its member count, not by n:
+    # a(1, 35) = F(36) + 1 is within the bound, a(35, 35) = 2 F(35) is not.
+    monkeypatch.setattr(enumeration, "_iter_a_structured", lambda k, n: iter(()))
+    assert enumerate_family_a(1, 35, strategy="structured") == []
+    with pytest.raises(SizeLimitError):
+        enumerate_family_a(35, 35, strategy="structured")
 
 
 def test_domain_errors():
