@@ -12,7 +12,6 @@ identity against the oracles.
 
 from .closed_forms import (
     CaseCounts,
-    TableCell,
     band_count,
     closed_count,
     diagonal_count,
@@ -69,7 +68,6 @@ __all__ = [
     "Report",
     "SchreierClass",
     "SizeLimitError",
-    "TableCell",
     "band_count",
     "binom",
     "classify",

@@ -25,7 +25,7 @@ from .enumeration import (
     enumerate_family_a,
     enumerate_family_k,
     enumerate_ratio_family,
-    require_scan_within_cap,
+    require_within_cap,
 )
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
@@ -121,12 +121,12 @@ def _table_grid(k_max: int, n_max: int, source: str) -> list[list[int]]:
             for k in range(1, k_max + 1)
         ]
     if source == "recurrence":
-        cells = recurrence_table(k_max, n_max)
-        grid = [[0] * n_max for _ in range(k_max)]
-        for cell in cells:
-            grid[cell.k - 1][cell.n - 1] = cell.value
-        return grid
-    require_scan_within_cap(n_max, "table")
+        return recurrence_table(k_max, n_max)
+    # The oracle runs one 2**n scan per cell: k_max * (2**(n_max+1) - 2) sets.
+    require_within_cap(
+        (k_max << n for n in range(1, n_max + 1)),
+        f"table: oracle grid of {k_max} x {n_max} scans",
+    )
     return [
         [count_family_a(k, n, "naive") for n in range(1, n_max + 1)]
         for k in range(1, k_max + 1)

@@ -37,15 +37,6 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class TableCell:
-    """One table entry: the count for the (k, n) cell."""
-
-    k: int
-    n: int
-    value: int
-
-
-@dataclass(frozen=True)
 class CaseCounts:
     """Sizes of the four membership cases (elements 2 and 3) of the pinned
     family at level n + 1."""
@@ -139,29 +130,29 @@ def band_count(k: int, l: int) -> int:
     return 2 * fib(k + l)
 
 
-def recurrence_table(k_max: int, n_max: int) -> list[TableCell]:
-    """Fill the (k, n) count table for 1 <= k <= k_max, 1 <= n <= n_max.
+def recurrence_table(k_max: int, n_max: int) -> list[list[int]]:
+    """Fill the (k, n) count grid for 1 <= k <= k_max, 1 <= n <= n_max:
+    one row per k, so grid[k-1][n-1] == a(k, n).
 
     Interior cells (k >= 2, n > max(k, 2)) come from the column recurrence
     a(k, n) = a(k, n-1) + a(k-1, n-2); boundary cells, and the whole k = 1
     row (whose recurrence would reach outside the table), are seeded from
-    the closed form.  Cells are returned row-major: k ascending, n ascending.
+    the closed form.
     """
     if k_max < 1 or n_max < 1:
         raise DomainError(
             f"recurrence_table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
         )
-    values: dict[tuple[int, int], int] = {}
-    cells: list[TableCell] = []
+    grid: list[list[int]] = []
     for k in range(1, k_max + 1):
+        row: list[int] = []
         for n in range(1, n_max + 1):
             if k == 1 or n <= max(k, 2):
-                v = closed_count(k, n)
+                row.append(closed_count(k, n))
             else:
-                v = values[(k, n - 1)] + values[(k - 1, n - 2)]
-            values[(k, n)] = v
-            cells.append(TableCell(k, n, v))
-    return cells
+                row.append(row[n - 2] + grid[k - 2][n - 3])
+        grid.append(row)
+    return grid
 
 
 def family_k_count(n: int) -> int:

@@ -18,7 +18,10 @@ Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
 enumeration function returns its results in this order.
 
-Bitmask convention: bit i-1 of a mask corresponds to element i.
+Bitmask convention: a mask is the whole set, with bit i-1 standing for
+element i.  Family A scans [0, 2**n), every subset of {1..n}; the pinned
+families K and mpq scan [2**(n-1), 2**n), the subsets whose top bit is the
+maximum n, so each family is one predicate on the mask.
 
 Size cap: before it builds any set, every brute-force route counts the
 candidate sets it will visit (2**n for a naive scan of {1..n}, the member
@@ -44,7 +47,7 @@ def oracle_cap() -> int:
     return MAX_CANDIDATES
 
 
-def _require_within_cap(parts: Iterable[int], what: str) -> None:
+def require_within_cap(parts: Iterable[int], what: str) -> None:
     """Refuse a request whose candidate sets, given as nonnegative parts,
     add up to more than MAX_CANDIDATES; stop at the first part past it."""
     total = 0
@@ -59,7 +62,7 @@ def _require_within_cap(parts: Iterable[int], what: str) -> None:
 def require_scan_within_cap(n: int, what: str) -> None:
     """Refuse a scan of the 2**n subsets of {1..n}, counted by their maximum
     (the empty set, then 2**(i-1) with maximum i), beyond the size cap."""
-    _require_within_cap(
+    require_within_cap(
         itertools.chain((1,), (1 << (i - 1) for i in range(1, n + 1))),
         f"{what}: scan of 2^{n} subsets",
     )
@@ -70,9 +73,8 @@ def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
     return (len(E.elements), E.elements)
 
 
-def _members_in_order(masks: list[int], top: int | None = None) -> list[FiniteSet]:
-    """Build one FiniteSet per mask, with the pinned maximum ``top`` appended
-    when given (every mask bit lies below it), and return them in EnumOrder."""
+def _members_in_order(masks: list[int]) -> list[FiniteSet]:
+    """Build one FiniteSet per mask and return them in EnumOrder."""
     members = []
     for m in masks:
         elems = []
@@ -80,8 +82,6 @@ def _members_in_order(masks: list[int], top: int | None = None) -> list[FiniteSe
             low = m & -m
             elems.append(low.bit_length())
             m ^= low
-        if top is not None:
-            elems.append(top)
         members.append(FiniteSet(tuple(elems)))
     members.sort(key=enum_order_key)
     return members
@@ -173,7 +173,7 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
     if strategy == "naive":
         return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
     if strategy == "structured":
-        _require_within_cap(
+        require_within_cap(
             _a_counts_by_min(k, n), f"enumerate_family_a: members of A({k}, {n})"
         )
         return list(_iter_a_structured(k, n))
@@ -183,27 +183,23 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
 
 
-def _k_member_mask(m: int, n: int) -> bool:
-    """Test mask m over {1..n-1}, implicitly joined with {n}."""
-    size = m.bit_count() + 1
-    if size == 2:
-        return False
-    wsize = size
-    if n == 2 or (m >> 1) & 1:
-        wsize -= 1
-    if n == 3 or (m >> 2) & 1:
-        wsize -= 1
-    min_elem = (m & -m).bit_length() if m else n
-    return min_elem > wsize
-
-
 def enumerate_family_k(n: int) -> list[FiniteSet]:
-    """Return every member of the pinned family at level n, in EnumOrder."""
+    """Return every member of the pinned family at level n, in EnumOrder.
+
+    Scans the subsets of {1..n} with maximum n and keeps those of size != 2
+    whose min exceeds the weight that zero-rates 2 and 3.
+    """
     if n < 2:
         raise DomainError(f"enumerate_family_k: n must be >= 2, got {n}")
     require_scan_within_cap(n - 1, "enumerate_family_k")
     return _members_in_order(
-        [m for m in range(1 << (n - 1)) if _k_member_mask(m, n)], top=n
+        [
+            m
+            for m in range(1 << (n - 1), 1 << n)
+            if m.bit_count() != 2
+            and (m & -m).bit_length()
+            > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
+        ]
     )
 
 
@@ -211,8 +207,8 @@ def enumerate_family_k(n: int) -> list[FiniteSet]:
 
 
 def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
-    """Scan every subset of {1..n-1}, implicitly joined with {n}, and keep
-    those with q * min >= p * size."""
+    """Scan the subsets of {1..n} with maximum n and keep those with
+    q * min >= p * size."""
     if p < 1 or q < 1:
         raise DomainError(f"{what}: p, q must be >= 1, got p={p}, q={q}")
     if n < 1:
@@ -220,8 +216,8 @@ def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
     require_scan_within_cap(n - 1, what)
     return [
         m
-        for m in range(1 << (n - 1))
-        if q * ((m & -m).bit_length() if m else n) >= p * (m.bit_count() + 1)
+        for m in range(1 << (n - 1), 1 << n)
+        if q * (m & -m).bit_length() >= p * m.bit_count()
     ]
 
 
@@ -232,6 +228,4 @@ def count_ratio_family(p: int, q: int, n: int) -> int:
 
 def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
     """Return every member of the ratio family at level n, in EnumOrder."""
-    return _members_in_order(
-        _ratio_member_masks(p, q, n, "enumerate_ratio_family"), top=n
-    )
+    return _members_in_order(_ratio_member_masks(p, q, n, "enumerate_ratio_family"))

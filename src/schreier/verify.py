@@ -281,14 +281,10 @@ def suite_rec3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     part_n = n_max if n_max is not None else 16
 
     def table_cases():
-        cells = recurrence_table(table_k, table_n)
-        for cell in cells:
-            if cell.k >= 2 and cell.n > max(cell.k, 2):
-                yield (
-                    f"k={cell.k} n={cell.n}",
-                    cell.value,
-                    closed_count(cell.k, cell.n),
-                )
+        grid = recurrence_table(table_k, table_n)
+        for k in range(2, table_k + 1):
+            for n in range(max(k, 2) + 1, table_n + 1):
+                yield (f"k={k} n={n}", grid[k - 1][n - 1], closed_count(k, n))
 
     def part_cases():
         for k in range(2, part_k + 1):

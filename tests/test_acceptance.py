@@ -93,10 +93,7 @@ def test_published_table_three_sources():
         want = golden_grid()
         with budget(5):
             closed = [[closed_count(k, n) for n in range(1, 17)] for k in range(1, 8)]
-            cells = recurrence_table(7, 16)
-            rec = [[0] * 16 for _ in range(7)]
-            for cell in cells:
-                rec[cell.k - 1][cell.n - 1] = cell.value
+            rec = recurrence_table(7, 16)
             oracle = [
                 [count_family_a(k, n, "naive") for n in range(1, 17)]
                 for k in range(1, 8)

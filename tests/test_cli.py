@@ -1,14 +1,18 @@
 """End-to-end CLI behaviour: golden output, formats, and exit codes."""
 
+import io
 import pathlib
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schreier.core as core
 from schreier import cli
+from schreier.verify import SUITE_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
 
@@ -222,6 +226,19 @@ def test_size_limit_exits_three(capsys):
     assert err.startswith("schreier: ")
 
 
+def test_oracle_table_is_counted_over_its_whole_grid(capsys):
+    # One 2**n scan per cell: k_max * (2**(n_max+1) - 2) candidate sets.
+    for k_max, n_max in (("3000", "14"), ("1", "24")):
+        start = time.perf_counter()
+        code, out, err = main_out(
+            capsys,
+            ["table", "--k-max", k_max, "--n-max", n_max, "--source", "oracle"],
+        )
+        assert time.perf_counter() - start < 1, (k_max, n_max)
+        assert (code, out) == (3, ""), (k_max, n_max)
+        assert err.startswith("schreier: table: oracle grid"), (k_max, n_max)
+
+
 def test_oversized_requests_are_refused_before_any_work(capsys):
     for argv in (
         ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
@@ -233,3 +250,69 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (3, ""), argv
         assert err.startswith("schreier: "), argv
+
+
+# The flags each command accepts, and those it must have to reach its
+# handler; verify always gets both range overrides, so no default (and slow)
+# range runs.
+_ACCEPTED = {
+    "table": ("--k-max", "--n-max", "--source", "--format"),
+    "enumerate": ("--family", "--k", "--n", "--p", "--q", "--format"),
+    "verify": ("--suite", "--n-max", "--k-max", "--seed"),
+    "sequence": ("--name", "--n-max", "--format"),
+}
+_REQUIRED = {
+    "table": ("--k-max", "--n-max"),
+    "enumerate": ("--family", "--n"),
+    "verify": ("--suite", "--n-max", "--k-max"),
+    "sequence": ("--name", "--n-max"),
+}
+_CHOICES = {
+    "--source": ("closed", "recurrence", "oracle"),
+    "--family": ("A", "K", "mpq"),
+    "--suite": SUITE_ORDER + ("all",),
+    "--name": ("a-diag", "k-count", "fib"),
+    "--format": ("csv", "json", "text"),
+}
+_ALL_FLAGS = sorted({flag for flags in _ACCEPTED.values() for flag in flags})
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(_ACCEPTED)))
+    flags = [
+        flag
+        for flag in _REQUIRED[command]
+        if flag in ("--n-max", "--k-max") and command == "verify"
+        or draw(st.integers(0, 9)) > 0  # now and then leave a required flag out
+    ]
+    flags += draw(st.lists(st.sampled_from(_ACCEPTED[command]), max_size=3))
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag of any command
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        if flag in _CHOICES:
+            value = draw(st.sampled_from(_CHOICES[flag]))
+        else:
+            value = str(draw(st.integers(-3, 10)))
+        argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True)
+@given(argument_vectors())
+def test_every_argument_vector_gets_a_defined_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the vector
+            assert exc.code == 2, argv
+            code = 2
+    if code == 1:
+        # exit 1 means a counterexample, which only verify can report
+        assert argv[0] == "verify", argv
+        summary = out.getvalue().splitlines()[-1]
+        assert summary.startswith("suite ") and summary.endswith(" FAILED"), argv
+    else:
+        assert code in (0, 2, 3), (argv, code)

@@ -72,22 +72,24 @@ def test_band_count_values_and_domain():
 
 
 def test_recurrence_table_matches_closed_form():
-    cells = recurrence_table(7, 16)
-    assert len(cells) == 7 * 16
-    # row-major: k ascending, n ascending inside each row
-    assert (cells[0].k, cells[0].n) == (1, 1)
-    assert (cells[16].k, cells[16].n) == (2, 1)
-    for cell in cells:
-        assert cell.value == closed_count(cell.k, cell.n)
+    grid = recurrence_table(7, 16)
+    # one row per k, one column per n: grid[k-1][n-1] == a(k, n)
+    assert len(grid) == 7
+    assert all(len(row) == 16 for row in grid)
+    for k, row in enumerate(grid, start=1):
+        for n, value in enumerate(row, start=1):
+            assert value == closed_count(k, n), (k, n)
 
 
 def test_recurrence_table_seeded_and_interior_cells():
-    values = {(c.k, c.n): c.value for c in recurrence_table(4, 10)}
-    assert values[(1, 7)] == 22  # k=1 row comes from the closed form
-    assert values[(2, 5)] == values[(2, 4)] + values[(1, 3)]  # 11 = 7 + 4
-    assert values[(2, 5)] == 11
+    grid = recurrence_table(4, 10)
+    assert grid[0][6] == 22  # a(1, 7): the k=1 row comes from the closed form
+    assert grid[1][4] == grid[1][3] + grid[0][2]  # a(2, 5) = a(2, 4) + a(1, 3)
+    assert grid[1][4] == 11  # 11 = 7 + 4
     with pytest.raises(DomainError):
         recurrence_table(0, 5)
+    with pytest.raises(DomainError):
+        recurrence_table(5, 0)
 
 
 def test_family_k_count_values():
