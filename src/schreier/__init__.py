@@ -33,6 +33,7 @@ from .bijections import (
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
     count_family_a,
+    count_family_a_grid,
     count_ratio_family,
     enum_order_key,
     enumerate_family_a,
@@ -74,6 +75,7 @@ __all__ = [
     "closed_count",
     "column_shift",
     "count_family_a",
+    "count_family_a_grid",
     "count_ratio_family",
     "diag_shift",
     "diag_swap",

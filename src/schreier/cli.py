@@ -21,7 +21,7 @@ from .closed_forms import (
 )
 from .core import fib
 from .enumeration import (
-    count_family_a,
+    count_family_a_grid,
     enumerate_family_a,
     enumerate_family_k,
     enumerate_ratio_family,
@@ -122,15 +122,13 @@ def _table_grid(k_max: int, n_max: int, source: str) -> list[list[int]]:
         ]
     if source == "recurrence":
         return recurrence_table(k_max, n_max)
-    # The oracle runs one 2**n scan per cell: k_max * (2**(n_max+1) - 2) sets.
+    # Counted as if each cell ran its own 2**n scan, k_max * (2**(n_max+1) - 2)
+    # sets: an upper bound on the grid's one scan and its k_max passes.
     require_within_cap(
         (k_max << n for n in range(1, n_max + 1)),
         f"table: oracle grid of {k_max} x {n_max} scans",
     )
-    return [
-        [count_family_a(k, n, "naive") for n in range(1, n_max + 1)]
-        for k in range(1, k_max + 1)
-    ]
+    return count_family_a_grid(k_max, n_max)
 
 
 def _render_table(grid: list[list[int]], k_max: int, n_max: int, source: str, fmt: str) -> str:

@@ -9,7 +9,11 @@ summing binomial coefficients without materializing sets; the two routes
 check each other.
 
 Each family has exactly one mask scan (the oracle), shared by its counting
-and enumerating functions.  Family A also has a structured enumerator that
+and enumerating functions.  For family A that scan keeps the candidates,
+the sets with min >= size, which hold every member for every k; the one
+member predicate then runs over them, so a single-cell count, the naive
+enumeration and the whole (k, n) grid of ``count_family_a_grid`` all read
+one scan of {1..n}.  Family A also has a structured enumerator that
 lists the members size by size, already in EnumOrder; that is the route the
 command line serves, and the naive scan stays as the oracle the verification
 code checks it against.
@@ -90,14 +94,23 @@ def _members_in_order(masks: list[int]) -> list[FiniteSet]:
 # -- family A: weight-k admissible sets with max <= n -----------------------
 
 
-def _a_member_masks(k: int, n: int, what: str) -> list[int]:
-    """Scan every subset of {1..n} and keep the members by the raw
-    definition: the empty set, and each set whose min exceeds its weight."""
+def _a_candidate_masks(n: int, what: str) -> list[int]:
+    """Scan every nonempty subset of {1..n} and keep those with min >= size.
+
+    A member of any weight-k family has min > |E| - [k in E] >= |E| - 1, so
+    these F(n+2) - 1 sets hold every nonempty member, whatever k is.
+    """
     require_scan_within_cap(n, what)
+    return [m for m in range(1, 1 << n) if (m & -m).bit_length() >= m.bit_count()]
+
+
+def _a_member_masks(k: int, candidates: list[int]) -> list[int]:
+    """Keep the members among the candidates by the raw definition: the
+    empty set, and each set whose min exceeds its weight."""
     kshift = k - 1
     return [0] + [
         m
-        for m in range(1, 1 << n)
+        for m in candidates
         if (m & -m).bit_length() > m.bit_count() - ((m >> kshift) & 1)
     ]
 
@@ -150,7 +163,7 @@ def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
     if n < 1:
         raise DomainError(f"count_family_a: n must be >= 1, got {n}")
     if strategy == "naive":
-        return len(_a_member_masks(k, n, "count_family_a"))
+        return len(_a_member_masks(k, _a_candidate_masks(n, "count_family_a")))
     if strategy == "by_min":
         if n > BY_MIN_MAX_N:
             raise SizeLimitError(
@@ -158,6 +171,32 @@ def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
             )
         return sum(_a_counts_by_min(k, n))
     raise DomainError(f"count_family_a: unknown strategy {strategy!r}")
+
+
+def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
+    """Count the bounded weight-k family for every k <= k_max and n <= n_max
+    from one scan of {1..n_max}: ``grid[k-1][n-1] == a(k, n)``.
+
+    Each row tests the one predicate on the shared candidates, buckets the
+    members by their maximum and sums the buckets up to each n.  The
+    k_max * |candidates| tests count against the size cap.
+    """
+    if k_max < 1 or n_max < 1:
+        raise DomainError(
+            f"count_family_a_grid: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
+        )
+    candidates = _a_candidate_masks(n_max, "count_family_a_grid")
+    require_within_cap(
+        (k_max * len(candidates),),
+        f"count_family_a_grid: {k_max} x {len(candidates)} predicate tests",
+    )
+    grid = []
+    for k in range(1, k_max + 1):
+        by_max = [0] * (n_max + 1)
+        for m in _a_member_masks(k, candidates):
+            by_max[m.bit_length()] += 1
+        grid.append(list(itertools.accumulate(by_max))[1:])
+    return grid
 
 
 def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
@@ -171,7 +210,9 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
     if n < 1:
         raise DomainError(f"enumerate_family_a: n must be >= 1, got {n}")
     if strategy == "naive":
-        return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
+        return _members_in_order(
+            _a_member_masks(k, _a_candidate_masks(n, "enumerate_family_a"))
+        )
     if strategy == "structured":
         require_within_cap(
             _a_counts_by_min(k, n), f"enumerate_family_a: members of A({k}, {n})"

@@ -14,6 +14,7 @@ default seed below, so failures reproduce; the seed can be overridden.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +32,7 @@ from .closed_forms import (
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
     count_family_a,
+    count_family_a_grid,
     count_ratio_family,
     enumerate_family_k,
     require_scan_within_cap,
@@ -89,12 +91,15 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     enum_top = n_max if n_max is not None else 22
     formula_top = n_max if n_max is not None else 500
     part_top = n_max if n_max is not None else 16
+    # The partition at level n scans the (n+1)-diagonal.
+    require_scan_within_cap(max(enum_top, part_top + 1), "suite thm1_1")
+    grid = count_family_a_grid(enum_top, enum_top)
     reports = [
         _run_checks(
             "diagonal-count-vs-enumeration",
             f"n=1..{enum_top}",
             (
-                (f"n={n}", count_family_a(n, n, "naive"), diagonal_count(n))
+                (f"n={n}", grid[n - 1][n - 1], diagonal_count(n))
                 for n in range(1, enum_top + 1)
             ),
         ),
@@ -127,9 +132,10 @@ def suite_thm1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     k_top = k_max if k_max is not None else 12
 
     def cases():
+        grid = count_family_a_grid(k_top, n_top)
         for k in range(1, k_top + 1):
             for n in range(1, n_top + 1):
-                want = count_family_a(k, n, "naive")
+                want = grid[k - 1][n - 1]
                 got = (closed_count(k, n), count_family_a(k, n, "by_min"))
                 yield (f"k={k} n={n}", got, (want, want))
 
@@ -173,27 +179,28 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     case_top = n_max if n_max is not None else 22
     part_top = n_max if n_max is not None else 18
     claim_top = n_max if n_max is not None else 18
+    # The checks read pinned levels 2..level_top: counts at n, case splits
+    # at n + 1, claims at n - 1.  The partition at n also scans level n + 1.
+    level_top = max(count_top, case_top + 1, claim_top - 1)
+    require_scan_within_cap(max(level_top, part_top + 1) - 1, "suite thm1_4")
 
-    def case_split(n: int):
-        both = two_only = three_only = neither = 0
-        for E in enumerate_family_k(n + 1):
-            has2, has3 = 2 in E, 3 in E
-            if has2 and has3:
-                both += 1
-            elif has2:
-                two_only += 1
-            elif has3:
-                three_only += 1
-            else:
-                neither += 1
-        return (both, two_only, three_only, neither)
+    # Each level is enumerated once; only these small facts outlive it.
+    sizes, splits, min2_members, min3_sizes = {}, {}, {}, {}
+    for n in range(2, level_top + 1):
+        members = enumerate_family_k(n)
+        has = Counter((2 in E, 3 in E) for E in members)
+        sizes[n] = len(members)
+        splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
+        min2_members[n] = [str(F) for F in members if len(F) > 1 and F.min == 2]
+        min3_sizes[n] = [len(F) for F in members if len(F) > 1 and F.min == 3]
+        del members
 
     def case_cases():
         for n in range(3, case_top + 1):
             want = family_k_case_counts(n)
             yield (
                 f"n={n}",
-                case_split(n),
+                splits[n + 1],
                 (want.with_both, want.with_two_only, want.with_three_only, want.with_neither),
             )
             yield (f"n={n} total", want.total, fib(n))
@@ -204,36 +211,24 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
 
     def claim_min2():
         for n in range(3, claim_top + 1):
-            members = [
-                F for F in enumerate_family_k(n - 1) if len(F) > 1 and F.min == 2
-            ]
             if n < 5:
-                yield (f"n={n} vacuous", [str(F) for F in members], [])
+                yield (f"n={n} vacuous", min2_members[n - 1], [])
             else:
-                yield (
-                    f"n={n}",
-                    [str(F) for F in members],
-                    [str(FiniteSet.of(2, 3, n - 1))],
-                )
+                yield (f"n={n}", min2_members[n - 1], [str(FiniteSet.of(2, 3, n - 1))])
 
     def claim_min3():
         for n in range(3, claim_top + 1):
-            members = [
-                F for F in enumerate_family_k(n - 1) if len(F) > 1 and F.min == 3
-            ]
+            got = min3_sizes[n - 1]
             if n < 6:
-                yield (f"n={n} vacuous", [str(F) for F in members], [])
+                yield (f"n={n} vacuous", got, [])
             else:
-                yield (f"n={n}", [len(F) for F in members], [3] * len(members))
+                yield (f"n={n}", got, [3] * len(got))
 
     return [
         _run_checks(
             "pinned-count-vs-enumeration",
             f"n=2..{count_top}",
-            (
-                (f"n={n}", len(enumerate_family_k(n)), family_k_count(n))
-                for n in range(2, count_top + 1)
-            ),
+            ((f"n={n}", sizes[n], family_k_count(n)) for n in range(2, count_top + 1)),
         ),
         _run_checks("pinned-case-split", f"n=3..{case_top}", case_cases()),
         _run_checks(
@@ -279,6 +274,8 @@ def suite_rec3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     table_n = n_max if n_max is not None else 40
     part_k = k_max if k_max is not None else 8
     part_n = n_max if n_max is not None else 16
+    if part_k >= 2 and part_n >= 3:
+        require_scan_within_cap(part_n, "suite rec3_1")
 
     def table_cases():
         grid = recurrence_table(table_k, table_n)
@@ -470,6 +467,7 @@ def suite_eq3_10(n_max=None, k_max=None, seed=None) -> list[Report]:
 
 def suite_mpq(n_max=None, k_max=None, seed=None) -> list[Report]:
     n_top = n_max if n_max is not None else 18
+    require_scan_within_cap(n_top - 1, "suite mpq")
     reports = []
     for p in (1, 2, 3):
         for q in (1, 2, 3):

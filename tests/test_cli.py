@@ -227,7 +227,8 @@ def test_size_limit_exits_three(capsys):
 
 
 def test_oracle_table_is_counted_over_its_whole_grid(capsys):
-    # One 2**n scan per cell: k_max * (2**(n_max+1) - 2) candidate sets.
+    # Counted as if each cell ran its own 2**n scan, k_max * (2**(n_max+1) - 2)
+    # candidate sets, an upper bound on the one scan the grid makes.
     for k_max, n_max in (("3000", "14"), ("1", "24")):
         start = time.perf_counter()
         code, out, err = main_out(
@@ -244,6 +245,11 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
         ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
         ["enumerate", "--family", "A", "--k", "1", "--n", "1000000"],
         ["verify", "--suite", "eq1_2", "--n-max", "25"],
+        # Each suite checks its largest scan before its first one.
+        ["verify", "--suite", "thm1_4", "--n-max", "25"],
+        ["verify", "--suite", "thm1_1", "--n-max", "24"],
+        ["verify", "--suite", "rec3_1", "--n-max", "25", "--k-max", "3"],
+        ["verify", "--suite", "mpq", "--n-max", "26"],
     ):
         start = time.perf_counter()
         code, out, err = main_out(capsys, argv)

@@ -6,6 +6,7 @@ from schreier import enumeration
 from schreier.core import fib
 from schreier.enumeration import (
     count_family_a,
+    count_family_a_grid,
     count_ratio_family,
     enum_order_key,
     enumerate_family_a,
@@ -130,9 +131,11 @@ def test_mask_scans_agree_with_set_predicates():
     for n in range(1, 15):
         subsets += [FiniteSet(E.elements + (n,)) for E in subsets]
         ordered = sorted(subsets, key=enum_order_key)
+        grid = count_family_a_grid(n + 1, n)
         for k in range(1, n + 2):
             want = [E for E in ordered if in_family_a(E, k, n)]
             assert enumerate_family_a(k, n, strategy="naive") == want, (k, n)
+            assert grid[k - 1][n - 1] == len(want), (k, n)
         if n >= 2:
             assert enumerate_family_k(n) == [E for E in ordered if in_family_k(E, n)], n
         for p in (1, 2, 3):
@@ -149,6 +152,11 @@ def test_size_caps():
         count_family_a(1, 25, "naive")
     with pytest.raises(SizeLimitError):
         count_family_a(1, 65, "by_min")
+    with pytest.raises(SizeLimitError):
+        count_family_a_grid(1, 25)
+    # The grid's k_max * |candidates| predicate tests count against the cap.
+    with pytest.raises(SizeLimitError):
+        count_family_a_grid(10**9, 10)
     for k in (1, 12, 36, 40):
         with pytest.raises(SizeLimitError):
             enumerate_family_a(k, 36, strategy="structured")
@@ -184,6 +192,9 @@ def test_domain_errors():
         count_family_a(1, 0)
     with pytest.raises(DomainError):
         count_family_a(1, 5, "magic")
+    for k_max, n_max in ((0, 5), (5, 0)):
+        with pytest.raises(DomainError):
+            count_family_a_grid(k_max, n_max)
     with pytest.raises(DomainError):
         enumerate_family_a(1, 5, strategy="magic")
     with pytest.raises(DomainError):

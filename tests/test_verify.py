@@ -1,8 +1,11 @@
 """Verification suite machinery: reports, registries, and the failure path."""
 
+from collections import Counter
+
 import pytest
 
 import schreier.core as core
+from schreier import enumeration
 from schreier.errors import DomainError
 from schreier.verify import DEFAULT_SEED, Report, SUITE_ORDER, SUITES, run_suite
 
@@ -88,3 +91,33 @@ def test_corrupted_fibonacci_cache_is_caught():
     assert failed, "corruption went unnoticed"
     assert any(r.counterexample for r in failed)
     assert all(r.passed for r in run_suite("identities", n_max=20))
+
+
+def _record_scans(monkeypatch):
+    """Record the n of every 2**n scan the enumeration oracles make."""
+    scans = []
+    guard = enumeration.require_scan_within_cap
+
+    def recording(n, what):
+        scans.append((n, what))
+        guard(n, what)
+
+    monkeypatch.setattr(enumeration, "require_scan_within_cap", recording)
+    return scans
+
+
+def test_thm1_2_fills_its_grid_from_one_scan(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite("thm1_2"))
+    assert scans == [(20, "count_family_a_grid")]
+
+
+def test_thm1_4_scans_each_pinned_level_at_most_four_times(monkeypatch):
+    # Once for the suite's own checks, and once for each of the three
+    # partitions (at n - 1, n and n + 1) that read the level.
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite("thm1_4"))
+    per_level = Counter(n + 1 for n, what in scans if what == "enumerate_family_k")
+    assert len(scans) == sum(per_level.values())
+    assert set(per_level) == set(range(2, 24))
+    assert max(per_level.values()) <= 4
