@@ -16,12 +16,13 @@ each realized as a pair of maps whose images partition the next level:
 
 ``verify_partition`` never trusts those descriptions: it re-derives every
 domain and codomain from the brute-force enumeration oracle (the naive mask
-scans of ``enumeration``, never the structured route), applies the
-maps, and reports four independent flags (well-definedness, injectivity,
-disjointness of the two images, exact cover of the codomain).  All four
-flags true is precisely the claimed partition.  Domain errors raised by a
-map surface as well-definedness failures, never as silent skips, and the
-first violation is chosen deterministically in enumeration order.
+scans of ``enumeration``, called with ``strategy="naive"`` for both
+families, never the structured routes), applies the maps, and reports
+four independent flags (well-definedness, injectivity, disjointness of
+the two images, exact cover of the codomain).  All four flags true is
+precisely the claimed partition.  Domain errors raised by a map surface as
+well-definedness failures, never as silent skips, and the first violation
+is chosen deterministically in enumeration order.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
         "shift_by_one+two_level_step",
         n,
         None,
-        (enumerate_family_k(n), shift_by_one),
-        (enumerate_family_k(n - 1), lambda F: two_level_step(F, n)),
-        enumerate_family_k(n + 1),
+        (enumerate_family_k(n, strategy="naive"), shift_by_one),
+        (enumerate_family_k(n - 1, strategy="naive"), lambda F: two_level_step(F, n)),
+        enumerate_family_k(n + 1, strategy="naive"),
     )

@@ -181,7 +181,10 @@ def _enumerate_members(args: argparse.Namespace) -> tuple[list[FiniteSet], dict]
     if args.family == "K":
         if args.k is not None or args.p is not None or args.q is not None:
             raise DomainError("enumerate: family K takes only --n")
-        return enumerate_family_k(args.n), {"family": "K", "n": args.n}
+        return (
+            enumerate_family_k(args.n, strategy="structured"),
+            {"family": "K", "n": args.n},
+        )
     if args.p is None or args.q is None:
         raise DomainError("enumerate: family mpq requires --p and --q")
     if args.k is not None:

@@ -28,7 +28,6 @@ m(0) = 0 (no set has maximum 0).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .core import binom, fib
@@ -88,23 +87,20 @@ def diagonal_count(n: int) -> int:
 # multiply/divide rule), so the double-sum route below stays a pure sum of
 # binomial coefficients with no Fibonacci identity anywhere in it.
 _PREFIX: list[list[int]] = [[1]]
-_PREFIX_LOCK = threading.Lock()
 
 
 def _prefix_binom_sum(m: int, t: int) -> int:
     """Return sum_{j=0..t} C(m, j) for m >= 0 (0 when t < 0)."""
     if t < 0:
         return 0
-    if m >= len(_PREFIX):
-        with _PREFIX_LOCK:
-            while len(_PREFIX) <= m:
-                mm = len(_PREFIX)
-                acc, c, row = 0, 1, []
-                for j in range(mm + 1):
-                    acc += c
-                    row.append(acc)
-                    c = c * (mm - j) // (j + 1)
-                _PREFIX.append(row)
+    while len(_PREFIX) <= m:
+        mm = len(_PREFIX)
+        acc, c, row = 0, 1, []
+        for j in range(mm + 1):
+            acc += c
+            row.append(acc)
+            c = c * (mm - j) // (j + 1)
+        _PREFIX.append(row)
     row = _PREFIX[m]
     return row[min(t, m)]
 

@@ -13,29 +13,25 @@ Conventions are fixed once, here:
 from __future__ import annotations
 
 import math
-import threading
 
 from .errors import DomainError
 
-# Fibonacci cache: _FIB[i] == F(i).  Extended under a lock so concurrent
-# callers never observe a partially grown table.
+# Fibonacci cache: _FIB[i] == F(i).
 _FIB: list[int] = [0, 1]
-_FIB_LOCK = threading.Lock()
 
 
 def fib(n: int) -> int:
     """Return the n-th Fibonacci number under F(0) = 0, F(1) = 1.
 
-    Cached iteratively; safe to call from multiple threads.
+    Cached iteratively.
     """
     if n < 0:
         raise DomainError(f"fib: index must be >= 0, got {n}")
     if n < len(_FIB):
         return _FIB[n]
-    with _FIB_LOCK:
-        while len(_FIB) <= n:
-            _FIB.append(_FIB[-1] + _FIB[-2])
-        return _FIB[n]
+    while len(_FIB) <= n:
+        _FIB.append(_FIB[-1] + _FIB[-2])
+    return _FIB[n]
 
 
 def binom(n: int, k: int) -> int:

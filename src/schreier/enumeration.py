@@ -13,10 +13,10 @@ and enumerating functions.  For family A that scan keeps the candidates,
 the sets with min >= size, which hold every member for every k; the one
 member predicate then runs over them, so a single-cell count, the naive
 enumeration and the whole (k, n) grid of ``count_family_a_grid`` all read
-one scan of {1..n}.  Family A also has a structured enumerator that
-lists the members size by size, already in EnumOrder; that is the route the
-command line serves, and the naive scan stays as the oracle the verification
-code checks it against.
+one scan of {1..n}.  Families A and K also have a structured enumerator
+that lists the members size by size, already in EnumOrder; that is the
+route the command line serves, and the naive scan stays as the oracle the
+verification code checks it against.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -27,10 +27,13 @@ element i.  Family A scans [0, 2**n), every subset of {1..n}; the pinned
 families K and mpq scan [2**(n-1), 2**n), the subsets whose top bit is the
 maximum n, so each family is one predicate on the mask.
 
-Size cap: before it builds any set, every brute-force route counts the
-candidate sets it will visit (2**n for a naive scan of {1..n}, the member
-count for structured A), part by part, and is refused at the first partial
-sum past ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails at once.
+Size cap: before it builds any set, every route that lists sets counts the
+candidate sets it will visit, part by part, and is refused at the first
+partial sum past ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails
+at once.  A naive scan of {1..n} counts 2**n (2**(n-1) for a pinned level);
+structured A counts its members, by minimum; structured K counts the sets
+it tests, size by size: {n}, then C(n-s+1, s-1) for each size s >= 3, so
+it admits n <= 35 where the naive K scan stops at n = 25.
 """
 
 from __future__ import annotations
@@ -224,24 +227,52 @@ def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
 
 
-def enumerate_family_k(n: int) -> list[FiniteSet]:
+def _iter_k_structured(n: int) -> Iterator[FiniteSet]:
+    """Yield every member of the pinned family at level n, in EnumOrder.
+
+    A member of size s != 2 has min E > s - [2 in E] - [3 in E] >= s - 2, so
+    for s >= 3 its other s - 1 elements form an (s-1)-subset of {s-1..n-1}.
+    Listing those lexicographically, size by size, and appending n needs no
+    sort; only the sets that pass the rule are kept.
+    """
+    yield FiniteSet((n,))
+    for s in range(3, n // 2 + 2):
+        for rest in itertools.combinations(range(s - 1, n), s - 1):
+            if rest[0] > s - (2 in rest) - (3 in rest):
+                yield FiniteSet(rest + (n,))
+
+
+def enumerate_family_k(n: int, *, strategy: str) -> list[FiniteSet]:
     """Return every member of the pinned family at level n, in EnumOrder.
 
-    Scans the subsets of {1..n} with maximum n and keeps those of size != 2
-    whose min exceeds the weight that zero-rates 2 and 3.
+    strategy "naive" scans the 2**(n-1) subsets of {1..n} with maximum n and
+    keeps those of size != 2 whose min exceeds the weight that zero-rates 2
+    and 3 (the oracle); strategy "structured" lists the members size by size
+    (the serving route).
     """
     if n < 2:
         raise DomainError(f"enumerate_family_k: n must be >= 2, got {n}")
-    require_scan_within_cap(n - 1, "enumerate_family_k")
-    return _members_in_order(
-        [
-            m
-            for m in range(1 << (n - 1), 1 << n)
-            if m.bit_count() != 2
-            and (m & -m).bit_length()
-            > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
-        ]
-    )
+    if strategy == "naive":
+        require_scan_within_cap(n - 1, "enumerate_family_k")
+        return _members_in_order(
+            [
+                m
+                for m in range(1 << (n - 1), 1 << n)
+                if m.bit_count() != 2
+                and (m & -m).bit_length()
+                > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
+            ]
+        )
+    if strategy == "structured":
+        # {n} itself, then for each size s >= 3 the (s-1)-subsets of {s-1..n-1}.
+        require_within_cap(
+            itertools.chain(
+                (1,), (binom(n - s + 1, s - 1) for s in range(3, n // 2 + 2))
+            ),
+            f"enumerate_family_k: sets visited at level {n}",
+        )
+        return list(_iter_k_structured(n))
+    raise DomainError(f"enumerate_family_k: unknown strategy {strategy!r}")
 
 
 # -- ratio family: q * min >= p * size, pinned max --------------------------

@@ -180,14 +180,20 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     part_top = n_max if n_max is not None else 18
     claim_top = n_max if n_max is not None else 18
     # The checks read pinned levels 2..level_top: counts at n, case splits
-    # at n + 1, claims at n - 1.  The partition at n also scans level n + 1.
+    # at n + 1, claims at n - 1.  The partition at n scans levels up to
+    # n + 1 with the naive oracle, the largest scan the suite makes.
     level_top = max(count_top, case_top + 1, claim_top - 1)
-    require_scan_within_cap(max(level_top, part_top + 1) - 1, "suite thm1_4")
+    require_scan_within_cap(part_top, "suite thm1_4")
+    # The structured levels are checked against the oracle on the levels
+    # that the partitions scan anyway.
+    oracle_top = min(count_top, part_top + 1)
 
-    # Each level is enumerated once; only these small facts outlive it.
-    sizes, splits, min2_members, min3_sizes = {}, {}, {}, {}
+    # Each level is built once; only these small facts outlive it.
+    sizes, agrees, splits, min2_members, min3_sizes = {}, {}, {}, {}, {}
     for n in range(2, level_top + 1):
-        members = enumerate_family_k(n)
+        members = enumerate_family_k(n, strategy="structured")
+        if n <= oracle_top:
+            agrees[n] = members == enumerate_family_k(n, strategy="naive")
         has = Counter((2 in E, 3 in E) for E in members)
         sizes[n] = len(members)
         splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
@@ -224,12 +230,16 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
             else:
                 yield (f"n={n}", got, [3] * len(got))
 
+    def count_cases():
+        for n in range(2, count_top + 1):
+            want = family_k_count(n)
+            if n in agrees:
+                yield (f"n={n}", (sizes[n], agrees[n]), (want, True))
+            else:
+                yield (f"n={n}", sizes[n], want)
+
     return [
-        _run_checks(
-            "pinned-count-vs-enumeration",
-            f"n=2..{count_top}",
-            ((f"n={n}", sizes[n], family_k_count(n)) for n in range(2, count_top + 1)),
-        ),
+        _run_checks("pinned-count-vs-enumeration", f"n=2..{count_top}", count_cases()),
         _run_checks("pinned-case-split", f"n=3..{case_top}", case_cases()),
         _run_checks(
             "pinned-partition",
@@ -437,9 +447,10 @@ def suite_eq1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
             E = FiniteSet(tuple(i + 1 for i in range(universe) if (mask >> i) & 1))
             cls = classify(E)
             settled = cls in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL)
+            shown = str(E)
             for k in range(1, k_top + 1):
                 expected = settled or (cls is SchreierClass.MAXIMAL and k in E)
-                yield (f"k={k} E={E}", in_weighted_family(E, k), expected)
+                yield (f"k={k} E={shown}", in_weighted_family(E, k), expected)
 
     return [
         _run_checks(

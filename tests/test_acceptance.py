@@ -125,7 +125,9 @@ def test_pinned_family_count_and_cases():
     with criterion("pinned-family-count-and-cases"):
         check_suite("thm1_4", 120)
         for n in range(2, 23):
-            assert all(E.max == n for E in enumerate_family_k(n)), f"n={n}"
+            for strategy in ("naive", "structured"):
+                members = enumerate_family_k(n, strategy=strategy)
+                assert all(E.max == n for E in members), f"n={n} {strategy}"
 
 
 def test_partition_bijections():

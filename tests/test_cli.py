@@ -107,6 +107,13 @@ def test_enumerate_family_k(capsys):
         '"sets":[[6],[2,3,6],[3,4,6],[3,5,6],[4,5,6]]}\n'
     )
 
+    # Past the naive scan's reach (n = 25), served by the structured route.
+    code, out, _ = main_out(
+        capsys, ["enumerate", "--family", "K", "--n", "26", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.count("\n") == core.fib(25) == 75025
+
 
 def test_enumerate_ratio_family(capsys):
     code, out, _ = main_out(
@@ -244,6 +251,7 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
     for argv in (
         ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
         ["enumerate", "--family", "A", "--k", "1", "--n", "1000000"],
+        ["enumerate", "--family", "K", "--n", "36"],
         ["verify", "--suite", "eq1_2", "--n-max", "25"],
         # Each suite checks its largest scan before its first one.
         ["verify", "--suite", "thm1_4", "--n-max", "25"],

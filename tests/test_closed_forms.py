@@ -123,7 +123,7 @@ def test_family_k_case_counts_match_enumeration():
     for n in range(3, 13):
         want = family_k_case_counts(n)
         both = two_only = three_only = neither = 0
-        for E in enumerate_family_k(n + 1):
+        for E in enumerate_family_k(n + 1, strategy="naive"):
             has2, has3 = 2 in E, 3 in E
             if has2 and has3:
                 both += 1

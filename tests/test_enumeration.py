@@ -72,23 +72,35 @@ def test_count_beyond_diagonal_is_fibonacci():
 
 
 def test_enumerate_family_k_small_levels():
-    assert canon(enumerate_family_k(2)) == ["{2}"]
-    assert canon(enumerate_family_k(3)) == ["{3}"]
-    assert canon(enumerate_family_k(4)) == ["{4}", "{2,3,4}"]
-    assert canon(enumerate_family_k(5)) == ["{5}", "{2,3,5}", "{3,4,5}"]
+    for strategy in ("naive", "structured"):
+        assert canon(enumerate_family_k(2, strategy=strategy)) == ["{2}"]
+        assert canon(enumerate_family_k(3, strategy=strategy)) == ["{3}"]
+        assert canon(enumerate_family_k(4, strategy=strategy)) == ["{4}", "{2,3,4}"]
+        assert canon(enumerate_family_k(5, strategy=strategy)) == [
+            "{5}", "{2,3,5}", "{3,4,5}",
+        ]
 
 
 def test_family_k_sizes_are_fibonacci():
-    assert [len(enumerate_family_k(n)) for n in range(2, 17)] == [
-        fib(n - 1) for n in range(2, 17)
-    ]
+    for strategy in ("naive", "structured"):
+        assert [len(enumerate_family_k(n, strategy=strategy)) for n in range(2, 17)] == [
+            fib(n - 1) for n in range(2, 17)
+        ]
 
 
 def test_family_k_members_have_pinned_max():
-    for n in (6, 9, 12):
-        for E in enumerate_family_k(n):
-            assert E.max == n
-            assert len(E) != 2
+    for strategy in ("naive", "structured"):
+        for n in (6, 9, 12):
+            for E in enumerate_family_k(n, strategy=strategy):
+                assert E.max == n
+                assert len(E) != 2
+
+
+def test_structured_family_k_matches_naive():
+    for n in range(2, 21):
+        assert enumerate_family_k(n, strategy="structured") == enumerate_family_k(
+            n, strategy="naive"
+        ), n
 
 
 def test_ratio_family_frozen_values():
@@ -137,7 +149,9 @@ def test_mask_scans_agree_with_set_predicates():
             assert enumerate_family_a(k, n, strategy="naive") == want, (k, n)
             assert grid[k - 1][n - 1] == len(want), (k, n)
         if n >= 2:
-            assert enumerate_family_k(n) == [E for E in ordered if in_family_k(E, n)], n
+            want = [E for E in ordered if in_family_k(E, n)]
+            for strategy in ("naive", "structured"):
+                assert enumerate_family_k(n, strategy=strategy) == want, (strategy, n)
         for p in (1, 2, 3):
             for q in (1, 2, 3):
                 want = [
@@ -164,10 +178,12 @@ def test_size_caps():
         enumerate_family_a(1, 10**6, strategy="structured")
     with pytest.raises(SizeLimitError):
         enumerate_family_a(1, 25, strategy="naive")
-    with pytest.raises(SizeLimitError):
-        enumerate_family_k(26)
-    with pytest.raises(SizeLimitError):
-        enumerate_family_k(10**12)
+    for n in (26, 10**12):
+        with pytest.raises(SizeLimitError):
+            enumerate_family_k(n, strategy="naive")
+    for n in (36, 10**12):
+        with pytest.raises(SizeLimitError):
+            enumerate_family_k(n, strategy="structured")
     with pytest.raises(SizeLimitError):
         count_ratio_family(1, 1, 26)
 
@@ -183,6 +199,12 @@ def test_oracle_cap_is_the_one_size_bound(monkeypatch):
     assert enumerate_family_a(1, 35, strategy="structured") == []
     with pytest.raises(SizeLimitError):
         enumerate_family_a(35, 35, strategy="structured")
+    # Structured K counts the sets it tests: 14,930,318 at level 35 pass,
+    # 24,157,782 at level 36 do not.
+    monkeypatch.setattr(enumeration, "_iter_k_structured", lambda n: iter(()))
+    assert enumerate_family_k(35, strategy="structured") == []
+    with pytest.raises(SizeLimitError):
+        enumerate_family_k(36, strategy="structured")
 
 
 def test_domain_errors():
@@ -198,7 +220,10 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         enumerate_family_a(1, 5, strategy="magic")
     with pytest.raises(DomainError):
-        enumerate_family_k(1)
+        enumerate_family_k(5, strategy="magic")
+    for strategy in ("naive", "structured"):
+        with pytest.raises(DomainError):
+            enumerate_family_k(1, strategy=strategy)
     with pytest.raises(DomainError):
         count_ratio_family(0, 1, 5)
     with pytest.raises(DomainError):

@@ -113,11 +113,22 @@ def test_thm1_2_fills_its_grid_from_one_scan(monkeypatch):
 
 
 def test_thm1_4_scans_each_pinned_level_at_most_four_times(monkeypatch):
-    # Once for the suite's own checks, and once for each of the three
-    # partitions (at n - 1, n and n + 1) that read the level.
+    # The naive oracle scans only the levels the partitions read: once for
+    # the cross-check of the structured level, and once for each of the
+    # three partitions (at n - 1, n and n + 1) that read the level.  The
+    # structured route builds every level the checks read exactly once.
     scans = _record_scans(monkeypatch)
+    built = []
+    structured = enumeration._iter_k_structured
+
+    def recording(n):
+        built.append(n)
+        return structured(n)
+
+    monkeypatch.setattr(enumeration, "_iter_k_structured", recording)
     assert all(r.passed for r in run_suite("thm1_4"))
     per_level = Counter(n + 1 for n, what in scans if what == "enumerate_family_k")
     assert len(scans) == sum(per_level.values())
-    assert set(per_level) == set(range(2, 24))
+    assert set(per_level) == set(range(2, 20))
     assert max(per_level.values()) <= 4
+    assert built == list(range(2, 24))
