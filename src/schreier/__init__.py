@@ -40,6 +40,9 @@ from .enumeration import (
     enumerate_family_k,
     enumerate_ratio_family,
     oracle_cap,
+    stream_family_a,
+    stream_family_k,
+    stream_ratio_family,
 )
 from .errors import DomainError, SizeLimitError
 from .finite_sets import (
@@ -101,6 +104,9 @@ __all__ = [
     "run_suite",
     "seeded_partial_sum",
     "shift_by_one",
+    "stream_family_a",
+    "stream_family_k",
+    "stream_ratio_family",
     "two_level_step",
     "verify_partition",
     "weight",

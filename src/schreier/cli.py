@@ -1,17 +1,20 @@
 """Command line interface: tables, enumerations, verification, sequences.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
-exceeded a brute-force size cap.  All output is deterministic: the same
-invocation produces byte-identical stdout, with LF line endings, so table
-output can be diffed against golden files.
+exceeded a brute-force size cap.  A reader that closes stdout early (say,
+``| head``) is not a failure: the command stops writing and exits 0.  All
+output is deterministic: the same invocation produces byte-identical stdout,
+with LF line endings, so table output can be diffed against golden files.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .closed_forms import (
     closed_count,
@@ -22,10 +25,10 @@ from .closed_forms import (
 from .core import fib
 from .enumeration import (
     count_family_a_grid,
-    enumerate_family_a,
-    enumerate_family_k,
-    enumerate_ratio_family,
     require_within_cap,
+    stream_family_a,
+    stream_family_k,
+    stream_ratio_family,
 )
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
@@ -37,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
 
 _FORMATS = ("csv", "json", "text")
+_CHUNK = 4096  # members rendered per write by enumerate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,45 +172,59 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # -- enumerate ----------------------------------------------------------------
 
 
-def _enumerate_members(args: argparse.Namespace) -> tuple[list[FiniteSet], dict]:
+def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, int, Iterator[FiniteSet]]:
     if args.family == "A":
         if args.k is None:
             raise DomainError("enumerate: family A requires --k")
         if args.p is not None or args.q is not None:
             raise DomainError("enumerate: family A takes no --p/--q")
-        return (
-            enumerate_family_a(args.k, args.n, strategy="structured"),
-            {"family": "A", "k": args.k, "n": args.n},
-        )
+        return ({"family": "A", "k": args.k, "n": args.n}, *stream_family_a(args.k, args.n))
     if args.family == "K":
         if args.k is not None or args.p is not None or args.q is not None:
             raise DomainError("enumerate: family K takes only --n")
-        return (
-            enumerate_family_k(args.n, strategy="structured"),
-            {"family": "K", "n": args.n},
-        )
+        return ({"family": "K", "n": args.n}, *stream_family_k(args.n))
     if args.p is None or args.q is None:
         raise DomainError("enumerate: family mpq requires --p and --q")
     if args.k is not None:
         raise DomainError("enumerate: family mpq takes no --k")
     return (
-        enumerate_ratio_family(args.p, args.q, args.n),
         {"family": "mpq", "p": args.p, "q": args.q, "n": args.n},
+        *stream_ratio_family(args.p, args.q, args.n),
     )
 
 
+class _ElementNames(dict):
+    """The decimal string of each element, converted once per request: the
+    members share few distinct elements, and converting every occurrence
+    was about half the cost of rendering them."""
+
+    def __missing__(self, x: int) -> str:
+        self[x] = name = str(x)
+        return name
+
+
+# Per format: the text before and after each member's comma-separated
+# elements, and the separator between members.  A text line is FiniteSet's
+# canonical rendering.
+_MEMBER_LAYOUT = {"text": ("{", "}\n", ""), "csv": ("", "\n", ""), "json": ("[", "]", ",")}
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    members, meta = _enumerate_members(args)
-    if args.fmt == "text":
-        out = "".join(str(E) + "\n" for E in members)
-    elif args.fmt == "csv":
-        out = "".join(",".join(str(x) for x in E) + "\n" for E in members)
-    else:
-        payload = dict(meta)
-        payload["count"] = len(members)
-        payload["sets"] = [list(E.elements) for E in members]
-        out = json.dumps(payload, separators=(",", ":")) + "\n"
-    sys.stdout.write(out)
+    # Members are built, rendered and written one chunk at a time, so memory
+    # stays at one chunk whatever the count; JSON writes its count up front.
+    meta, count, members = _enumerate_stream(args)
+    before, after, sep = _MEMBER_LAYOUT[args.fmt]
+    name = _ElementNames().__getitem__
+    write = sys.stdout.write
+    if args.fmt == "json":
+        header = json.dumps({**meta, "count": count}, separators=(",", ":"))
+        write(header[:-1] + ',"sets":[')
+    lead = ""
+    while chunk := list(itertools.islice(members, _CHUNK)):
+        write(lead + sep.join([before + ",".join(map(name, E.elements)) + after for E in chunk]))
+        lead = sep
+    if args.fmt == "json":
+        write("]}\n")
     return EXIT_OK
 
 
@@ -271,7 +289,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`): not a failure.  Point
+        # the descriptor at devnull so the interpreter's final flush is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except SizeLimitError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT

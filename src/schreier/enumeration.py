@@ -13,10 +13,18 @@ and enumerating functions.  For family A that scan keeps the candidates,
 the sets with min >= size, which hold every member for every k; the one
 member predicate then runs over them, so a single-cell count, the naive
 enumeration and the whole (k, n) grid of ``count_family_a_grid`` all read
-one scan of {1..n}.  Families A and K also have a structured enumerator
-that lists the members size by size, already in EnumOrder; that is the
-route the command line serves, and the naive scan stays as the oracle the
-verification code checks it against.
+one scan of {1..n}.
+
+Each family also has one structured route, ``stream_family_a``,
+``stream_family_k`` and ``stream_ratio_family``: it counts the members part
+by part, checks the count against the size cap, and returns it with an
+iterator that builds the members one by one, already in EnumOrder (K and
+mpq visit members only; A's listing passes over fewer other sets than it
+yields).
+That is the route the command line serves, writing members as they come,
+so its memory does not grow with the output; ``enumerate_*(...,
+strategy="structured")`` is the same route as a list, and the naive scan
+stays as the oracle the verification code checks it against.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -30,10 +38,14 @@ maximum n, so each family is one predicate on the mask.
 Size cap: before it builds any set, every route that lists sets counts the
 candidate sets it will visit, part by part, and is refused at the first
 partial sum past ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails
-at once.  A naive scan of {1..n} counts 2**n (2**(n-1) for a pinned level);
-structured A counts its members, by minimum; structured K counts the sets
-it tests, size by size: {n}, then C(n-s+1, s-1) for each size s >= 3, so
-it admits n <= 35 where the naive K scan stops at n = 25.
+at once.  A naive scan of {1..n} counts 2**n (2**(n-1) for a pinned level).
+The structured routes count their members: A by minimum (each a(k, n) is at
+least F(n+1), so every n >= 36 is refused), K by size ({n}, then 1 + (n-4) +
+C(n-4, 2) of size 3, then C(n-1-s, s-1) for each size s >= 4, F(n-1) in
+all, so n <= 37 passes), and mpq by size ([q*n >= p] for {n}, then
+C(n - ceil(p*s/q), s-1) for each size s >= 2; mpq(1, 1, n) = F(n), so
+n <= 36 passes there).  Since the members are streamed, the cap bounds time,
+not memory.
 """
 
 from __future__ import annotations
@@ -54,9 +66,10 @@ def oracle_cap() -> int:
     return MAX_CANDIDATES
 
 
-def require_within_cap(parts: Iterable[int], what: str) -> None:
+def require_within_cap(parts: Iterable[int], what: str) -> int:
     """Refuse a request whose candidate sets, given as nonnegative parts,
-    add up to more than MAX_CANDIDATES; stop at the first part past it."""
+    add up to more than MAX_CANDIDATES; stop at the first part past it.
+    Return the total of the parts once all of them are within the cap."""
     total = 0
     for part in parts:
         total += part
@@ -64,6 +77,7 @@ def require_within_cap(parts: Iterable[int], what: str) -> None:
             raise SizeLimitError(
                 f"{what}: more than {MAX_CANDIDATES} (2^24) candidate sets, the size cap"
             )
+    return total
 
 
 def require_scan_within_cap(n: int, what: str) -> None:
@@ -154,6 +168,13 @@ def _iter_a_structured(k: int, n: int) -> Iterator[FiniteSet]:
                 yield FiniteSet(E)
 
 
+def _require_a_domain(k: int, n: int, what: str) -> None:
+    if k < 1:
+        raise DomainError(f"{what}: k must be >= 1, got {k}")
+    if n < 1:
+        raise DomainError(f"{what}: n must be >= 1, got {n}")
+
+
 def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
     """Count the bounded weight-k family over {1..n}, empty set included.
 
@@ -161,10 +182,7 @@ def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
     strategy "by_min" sums binomials over a partition of the members.  The
     two must agree; the verification suites check that they do.
     """
-    if k < 1:
-        raise DomainError(f"count_family_a: k must be >= 1, got {k}")
-    if n < 1:
-        raise DomainError(f"count_family_a: n must be >= 1, got {n}")
+    _require_a_domain(k, n, "count_family_a")
     if strategy == "naive":
         return len(_a_member_masks(k, _a_candidate_masks(n, "count_family_a")))
     if strategy == "by_min":
@@ -202,44 +220,87 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     return grid
 
 
+def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the bounded weight-k family and an
+    iterator that builds them one by one, in EnumOrder (the serving route).
+
+    The member count, summed by minimum, passes the size cap before the
+    first member is built.
+    """
+    _require_a_domain(k, n, "stream_family_a")
+    count = require_within_cap(
+        _a_counts_by_min(k, n), f"stream_family_a: members of A({k}, {n})"
+    )
+    return count, _iter_a_structured(k, n)
+
+
 def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
     """Return every member of the bounded weight-k family, in EnumOrder.
 
     strategy "naive" scans all 2**n subsets (the oracle); strategy
     "structured" lists the members size by size (the serving route).
     """
-    if k < 1:
-        raise DomainError(f"enumerate_family_a: k must be >= 1, got {k}")
-    if n < 1:
-        raise DomainError(f"enumerate_family_a: n must be >= 1, got {n}")
     if strategy == "naive":
+        _require_a_domain(k, n, "enumerate_family_a")
         return _members_in_order(
             _a_member_masks(k, _a_candidate_masks(n, "enumerate_family_a"))
         )
     if strategy == "structured":
-        require_within_cap(
-            _a_counts_by_min(k, n), f"enumerate_family_a: members of A({k}, {n})"
-        )
-        return list(_iter_a_structured(k, n))
+        return list(stream_family_a(k, n)[1])
     raise DomainError(f"enumerate_family_a: unknown strategy {strategy!r}")
 
 
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
 
 
-def _iter_k_structured(n: int) -> Iterator[FiniteSet]:
-    """Yield every member of the pinned family at level n, in EnumOrder.
+def _k_counts_by_size(n: int) -> Iterator[int]:
+    """Yield the number of members of the pinned family at level n of each
+    size that has any: 1, 3, 4, ...
 
-    A member of size s != 2 has min E > s - [2 in E] - [3 in E] >= s - 2, so
-    for s >= 3 its other s - 1 elements form an (s-1)-subset of {s-1..n-1}.
-    Listing those lexicographically, size by size, and appending n needs no
-    sort; only the sets that pass the rule are kept.
+    A member of size s >= 4 has min E > s - [2 in E] - [3 in E], which 2 and
+    3 cannot meet, so its other s - 1 elements lie in {s+1..n-1}: there are
+    C(n-1-s, s-1) of them.  Size 3 adds {2,3,n} and the n - 4 sets {3,x,n}.
+    """
+    yield 1  # {n}
+    if n >= 4:
+        yield 1 + (n - 4) + binom(n - 4, 2)
+    for s in range(4, n // 2 + 1):
+        yield binom(n - 1 - s, s - 1)
+
+
+def _iter_k_structured(n: int) -> Iterator[FiniteSet]:
+    """Yield every member of the pinned family at level n, in EnumOrder,
+    visiting members only: {n}; then {2,3,n} and {3,x,n} for x = 4..n-1;
+    then for each size s >= 3 the (s-1)-subsets of {s+1..n-1} plus n (see
+    ``_k_counts_by_size``), listed lexicographically, so no sort is needed.
     """
     yield FiniteSet((n,))
-    for s in range(3, n // 2 + 2):
-        for rest in itertools.combinations(range(s - 1, n), s - 1):
-            if rest[0] > s - (2 in rest) - (3 in rest):
-                yield FiniteSet(rest + (n,))
+    if n >= 4:
+        yield FiniteSet((2, 3, n))
+        for x in range(4, n):
+            yield FiniteSet((3, x, n))
+    for s in range(3, n // 2 + 1):
+        for rest in itertools.combinations(range(s + 1, n), s - 1):
+            yield FiniteSet(rest + (n,))
+
+
+def _require_k_domain(n: int, what: str) -> None:
+    if n < 2:
+        raise DomainError(f"{what}: n must be >= 2, got {n}")
+
+
+def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the pinned family at level n and an
+    iterator that builds them one by one, in EnumOrder (the serving route).
+
+    The member count, summed by size, passes the size cap before the first
+    member is built.
+    """
+    _require_k_domain(n, "stream_family_k")
+    count = require_within_cap(
+        _k_counts_by_size(n), f"stream_family_k: members of K({n})"
+    )
+    return count, _iter_k_structured(n)
 
 
 def enumerate_family_k(n: int, *, strategy: str) -> list[FiniteSet]:
@@ -250,9 +311,8 @@ def enumerate_family_k(n: int, *, strategy: str) -> list[FiniteSet]:
     and 3 (the oracle); strategy "structured" lists the members size by size
     (the serving route).
     """
-    if n < 2:
-        raise DomainError(f"enumerate_family_k: n must be >= 2, got {n}")
     if strategy == "naive":
+        _require_k_domain(n, "enumerate_family_k")
         require_scan_within_cap(n - 1, "enumerate_family_k")
         return _members_in_order(
             [
@@ -264,27 +324,24 @@ def enumerate_family_k(n: int, *, strategy: str) -> list[FiniteSet]:
             ]
         )
     if strategy == "structured":
-        # {n} itself, then for each size s >= 3 the (s-1)-subsets of {s-1..n-1}.
-        require_within_cap(
-            itertools.chain(
-                (1,), (binom(n - s + 1, s - 1) for s in range(3, n // 2 + 2))
-            ),
-            f"enumerate_family_k: sets visited at level {n}",
-        )
-        return list(_iter_k_structured(n))
+        return list(stream_family_k(n)[1])
     raise DomainError(f"enumerate_family_k: unknown strategy {strategy!r}")
 
 
 # -- ratio family: q * min >= p * size, pinned max --------------------------
 
 
-def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
-    """Scan the subsets of {1..n} with maximum n and keep those with
-    q * min >= p * size."""
+def _require_ratio_domain(p: int, q: int, n: int, what: str) -> None:
     if p < 1 or q < 1:
         raise DomainError(f"{what}: p, q must be >= 1, got p={p}, q={q}")
     if n < 1:
         raise DomainError(f"{what}: n must be >= 1, got {n}")
+
+
+def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
+    """Scan the subsets of {1..n} with maximum n and keep those with
+    q * min >= p * size."""
+    _require_ratio_domain(p, q, n, what)
     require_scan_within_cap(n - 1, what)
     return [
         m
@@ -293,11 +350,66 @@ def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
     ]
 
 
+def _ratio_sizes(p: int, q: int, n: int) -> Iterator[tuple[int, int]]:
+    """Yield (s, lo) for each size s >= 2 with members at level n, where
+    lo = ceil(p*s/q) is the least min a member of size s may have: its
+    other s - 1 elements form an (s-1)-subset of {lo..n-1}.  lo grows with
+    s, so the sizes end at the first s with lo > n - s + 1."""
+    s = 2
+    while (lo := -(-p * s // q)) <= n - s + 1:
+        yield s, lo
+        s += 1
+
+
+def _ratio_counts_by_size(p: int, q: int, n: int) -> Iterator[int]:
+    """Yield the number of members of the ratio family at level n of each
+    size: [q*n >= p] for {n}, then C(n - lo, s - 1) for each size s >= 2."""
+    yield int(q * n >= p)
+    for s, lo in _ratio_sizes(p, q, n):
+        yield binom(n - lo, s - 1)
+
+
+def _iter_ratio_structured(p: int, q: int, n: int) -> Iterator[FiniteSet]:
+    """Yield every member of the ratio family at level n, in EnumOrder,
+    visiting members only (see ``_ratio_sizes``)."""
+    if q * n >= p:
+        yield FiniteSet((n,))
+    for s, lo in _ratio_sizes(p, q, n):
+        for rest in itertools.combinations(range(lo, n), s - 1):
+            yield FiniteSet(rest + (n,))
+
+
 def count_ratio_family(p: int, q: int, n: int) -> int:
     """Count sets with max = n and q * min >= p * size, by exhaustive scan."""
     return len(_ratio_member_masks(p, q, n, "count_ratio_family"))
 
 
-def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
-    """Return every member of the ratio family at level n, in EnumOrder."""
-    return _members_in_order(_ratio_member_masks(p, q, n, "enumerate_ratio_family"))
+def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the ratio family at level n and an
+    iterator that builds them one by one, in EnumOrder (the serving route).
+
+    The member count, summed by size, passes the size cap before the first
+    member is built.
+    """
+    _require_ratio_domain(p, q, n, "stream_ratio_family")
+    count = require_within_cap(
+        _ratio_counts_by_size(p, q, n),
+        f"stream_ratio_family: members of mpq({p}, {q}, {n})",
+    )
+    return count, _iter_ratio_structured(p, q, n)
+
+
+def enumerate_ratio_family(p: int, q: int, n: int, *, strategy: str) -> list[FiniteSet]:
+    """Return every member of the ratio family at level n, in EnumOrder.
+
+    strategy "naive" scans the 2**(n-1) subsets of {1..n} with maximum n
+    (the oracle); strategy "structured" lists the members size by size (the
+    serving route).
+    """
+    if strategy == "naive":
+        return _members_in_order(
+            _ratio_member_masks(p, q, n, "enumerate_ratio_family")
+        )
+    if strategy == "structured":
+        return list(stream_ratio_family(p, q, n)[1])
+    raise DomainError(f"enumerate_ratio_family: unknown strategy {strategy!r}")

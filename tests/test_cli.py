@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: golden output, formats, and exit codes."""
 
 import io
+import json
 import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import schreier.core as core
 from schreier import cli
+from schreier.closed_forms import ratio_recurrence
+from schreier.enumeration import enumerate_family_a, enumerate_family_k, enumerate_ratio_family
 from schreier.verify import SUITE_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
@@ -121,6 +125,94 @@ def test_enumerate_ratio_family(capsys):
     )
     assert code == 0
     assert out == "{4}\n{2,4}\n{3,4}\n"
+
+    # Past the naive scan's reach (n = 25), served by the structured route.
+    code, out, _ = main_out(
+        capsys,
+        ["enumerate", "--family", "mpq", "--p", "3", "--q", "1", "--n", "30", "--format", "csv"],
+    )
+    assert code == 0
+    assert out.count("\n") == ratio_recurrence(3, 1, 30)
+
+    code, out, _ = main_out(
+        capsys,
+        ["enumerate", "--family", "mpq", "--p", "2", "--q", "1", "--n", "1", "--format", "json"],
+    )
+    assert code == 0
+    assert out == '{"family":"mpq","p":2,"q":1,"n":1,"count":0,"sets":[]}\n'
+
+
+def test_enumerate_renders_the_oracle_members(capsys):
+    # Each format, written chunk by chunk, renders what the naive oracle
+    # lists exactly as one json.dumps / str(FiniteSet) pass over it would.
+    for argv, meta, members in (
+        (["--family", "A", "--k", "3", "--n", "18"], {"family": "A", "k": 3, "n": 18},
+         enumerate_family_a(3, 18, strategy="naive")),
+        (["--family", "K", "--n", "20"], {"family": "K", "n": 20},
+         enumerate_family_k(20, strategy="naive")),
+        (["--family", "mpq", "--p", "1", "--q", "2", "--n", "16"],
+         {"family": "mpq", "p": 1, "q": 2, "n": 16},
+         enumerate_ratio_family(1, 2, 16, strategy="naive")),
+    ):
+        assert len(members) > cli._CHUNK
+        want = {
+            "text": "".join(f"{E}\n" for E in members),
+            "csv": "".join(",".join(str(x) for x in E) + "\n" for E in members),
+            "json": json.dumps(
+                {**meta, "count": len(members), "sets": [list(E.elements) for E in members]},
+                separators=(",", ":"),
+            ) + "\n",
+        }
+        for fmt, text in want.items():
+            code, out, _ = main_out(capsys, ["enumerate", *argv, "--format", fmt])
+            assert (code, out) == (0, text), (argv, fmt)
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "A", "--k", "8", "--n", "24", "--format", "json"],
+        ["--family", "K", "--n", "26", "--format", "csv"],
+        ["--family", "mpq", "--p", "1", "--q", "3", "--n", "18", "--format", "text"],
+    ],
+)
+def test_enumerate_memory_stays_bounded(argv):
+    # Members are written chunk by chunk as they are built, so the traced
+    # heap stays at one chunk while the output runs to megabytes.
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = cli.main(["enumerate", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20, peak
+
+
+def test_enumerate_into_a_closed_pipe_exits_zero():
+    # The reader stops after one line of about 2.5 MB (`| head -1`); exit 1
+    # would claim a counterexample.
+    with subprocess.Popen(
+        [sys.executable, "-m", "schreier", "enumerate", "--family", "A", "--k", "8", "--n", "24"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline() == b"{}\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 0
+    assert err == b""
 
 
 # -- sequence ------------------------------------------------------------
@@ -251,7 +343,9 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
     for argv in (
         ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
         ["enumerate", "--family", "A", "--k", "1", "--n", "1000000"],
-        ["enumerate", "--family", "K", "--n", "36"],
+        ["enumerate", "--family", "K", "--n", "38"],
+        ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", "37"],
+        ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", str(10**12)],
         ["verify", "--suite", "eq1_2", "--n-max", "25"],
         # Each suite checks its largest scan before its first one.
         ["verify", "--suite", "thm1_4", "--n-max", "25"],

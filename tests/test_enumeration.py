@@ -3,6 +3,7 @@
 import pytest
 
 from schreier import enumeration
+from schreier.closed_forms import ratio_recurrence
 from schreier.core import fib
 from schreier.enumeration import (
     count_family_a,
@@ -14,6 +15,9 @@ from schreier.enumeration import (
     enumerate_ratio_family,
     oracle_cap,
     require_scan_within_cap,
+    stream_family_a,
+    stream_family_k,
+    stream_ratio_family,
 )
 from schreier.errors import DomainError, SizeLimitError
 from schreier.finite_sets import FiniteSet, in_family_a, in_family_k
@@ -106,7 +110,8 @@ def test_structured_family_k_matches_naive():
 def test_ratio_family_frozen_values():
     # frozen from the exhaustive scan
     assert count_ratio_family(2, 1, 3) == 1
-    assert canon(enumerate_ratio_family(2, 1, 3)) == ["{3}"]
+    for strategy in ("naive", "structured"):
+        assert canon(enumerate_ratio_family(2, 1, 3, strategy=strategy)) == ["{3}"]
     assert count_ratio_family(1, 1, 4) == 3
     assert count_ratio_family(1, 1, 6) == 8
     assert [count_ratio_family(1, 2, n) for n in range(1, 11)] == [
@@ -124,9 +129,41 @@ def test_ratio_family_enumeration_matches_count():
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             for n in range(1, 11):
-                members = enumerate_ratio_family(p, q, n)
-                assert len(members) == count_ratio_family(p, q, n)
-                assert members == sorted(members, key=enum_order_key)
+                for strategy in ("naive", "structured"):
+                    members = enumerate_ratio_family(p, q, n, strategy=strategy)
+                    assert len(members) == count_ratio_family(p, q, n)
+                    assert members == sorted(members, key=enum_order_key)
+
+
+def test_structured_ratio_family_matches_naive():
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            for n in range(1, 17):
+                assert enumerate_ratio_family(
+                    p, q, n, strategy="structured"
+                ) == enumerate_ratio_family(p, q, n, strategy="naive"), (p, q, n)
+
+
+def test_stream_counts_match_the_recurrences():
+    # The parts each stream route counts against the cap add up to its
+    # family's size, far past the reach of any listing.
+    for n in range(2, 301):
+        assert sum(enumeration._k_counts_by_size(n)) == fib(n - 1), n
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            for n in range(1, 201):
+                assert sum(enumeration._ratio_counts_by_size(p, q, n)) == ratio_recurrence(
+                    p, q, n
+                ), (p, q, n)
+    # Each stream's count is the number of members it yields, in EnumOrder.
+    for count, members in (
+        stream_family_a(3, 12),
+        stream_family_k(16),
+        stream_ratio_family(1, 2, 12),
+    ):
+        members = list(members)
+        assert count == len(members)
+        assert members == sorted(members, key=enum_order_key)
 
 
 def test_schreier_ratio_case_is_classical():
@@ -158,7 +195,9 @@ def test_mask_scans_agree_with_set_predicates():
                     E for E in ordered
                     if not E.is_empty() and E.max == n and q * E.min >= p * len(E)
                 ]
-                assert enumerate_ratio_family(p, q, n) == want, (p, q, n)
+                for strategy in ("naive", "structured"):
+                    got = enumerate_ratio_family(p, q, n, strategy=strategy)
+                    assert got == want, (strategy, p, q, n)
 
 
 def test_size_caps():
@@ -181,11 +220,16 @@ def test_size_caps():
     for n in (26, 10**12):
         with pytest.raises(SizeLimitError):
             enumerate_family_k(n, strategy="naive")
-    for n in (36, 10**12):
+    for n in (38, 10**12):
         with pytest.raises(SizeLimitError):
             enumerate_family_k(n, strategy="structured")
     with pytest.raises(SizeLimitError):
         count_ratio_family(1, 1, 26)
+    with pytest.raises(SizeLimitError):
+        enumerate_ratio_family(1, 1, 26, strategy="naive")
+    for n in (37, 10**12):
+        with pytest.raises(SizeLimitError):
+            stream_ratio_family(1, 1, n)
 
 
 def test_oracle_cap_is_the_one_size_bound(monkeypatch):
@@ -199,12 +243,16 @@ def test_oracle_cap_is_the_one_size_bound(monkeypatch):
     assert enumerate_family_a(1, 35, strategy="structured") == []
     with pytest.raises(SizeLimitError):
         enumerate_family_a(35, 35, strategy="structured")
-    # Structured K counts the sets it tests: 14,930,318 at level 35 pass,
-    # 24,157,782 at level 36 do not.
+    # Structured K and mpq count their members: K(37) = F(36) = 14,930,352
+    # and mpq(1, 1, 36) = F(36) pass, F(37) = 24,157,817 does not.
     monkeypatch.setattr(enumeration, "_iter_k_structured", lambda n: iter(()))
-    assert enumerate_family_k(35, strategy="structured") == []
+    assert enumerate_family_k(37, strategy="structured") == []
     with pytest.raises(SizeLimitError):
-        enumerate_family_k(36, strategy="structured")
+        enumerate_family_k(38, strategy="structured")
+    monkeypatch.setattr(enumeration, "_iter_ratio_structured", lambda p, q, n: iter(()))
+    assert enumerate_ratio_family(1, 1, 36, strategy="structured") == []
+    with pytest.raises(SizeLimitError):
+        enumerate_ratio_family(1, 1, 37, strategy="structured")
 
 
 def test_domain_errors():
@@ -226,5 +274,19 @@ def test_domain_errors():
             enumerate_family_k(1, strategy=strategy)
     with pytest.raises(DomainError):
         count_ratio_family(0, 1, 5)
+    for strategy in ("naive", "structured"):
+        with pytest.raises(DomainError):
+            enumerate_ratio_family(1, 0, 5, strategy=strategy)
+        with pytest.raises(DomainError):
+            enumerate_ratio_family(1, 1, 0, strategy=strategy)
     with pytest.raises(DomainError):
-        enumerate_ratio_family(1, 0, 5)
+        enumerate_ratio_family(1, 1, 5, strategy="magic")
+    for stream, args in (
+        (stream_family_a, (0, 5)),
+        (stream_family_a, (1, 0)),
+        (stream_family_k, (1,)),
+        (stream_ratio_family, (0, 1, 5)),
+        (stream_ratio_family, (1, 1, 0)),
+    ):
+        with pytest.raises(DomainError):
+            stream(*args)
