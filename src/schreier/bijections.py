@@ -16,8 +16,9 @@ each realized as a pair of maps whose images partition the next level:
 
 ``verify_partition`` never trusts those descriptions: it re-derives every
 domain and codomain from the brute-force enumeration oracle (the naive mask
-scans of ``enumeration``, called with ``strategy="naive"`` for both
-families, never the structured routes), applies the maps, and reports
+scans of ``enumeration``: ``enumerate_family_a``, and
+``enumerate_family_k`` with ``strategy="naive"``, never the structured
+routes), applies the maps, and reports
 four independent flags (well-definedness, injectivity, disjointness of
 the two images, exact cover of the codomain).  All four flags true is
 precisely the claimed partition.  Domain errors raised by a map surface as
@@ -129,7 +130,7 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
 
 
 def _oracle_family_a(k: int, n: int) -> list[FiniteSet]:
-    return enumerate_family_a(k, n, strategy="naive")
+    return enumerate_family_a(k, n)
 
 
 def _apply_in_order(

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
 exceeded a brute-force size cap.  A reader that closes stdout early (say,
-``| head``) is not a failure: the command stops writing and exits 0.  All
-output is deterministic: the same invocation produces byte-identical stdout,
+``| head``) changes no exit code: the command stops writing, ``enumerate``
+exits 0, and ``verify`` still exits 1 on a counterexample.  All output is deterministic: the same invocation produces byte-identical stdout,
 with LF line endings, so table output can be diffed against golden files.
 """
 
@@ -113,6 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- output -------------------------------------------------------------------
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that nothing more written to
+    it, the interpreter's final flush included, fails on a closed reader."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _emit(text: str) -> None:
+    """Write a command's whole output.  A reader that closed stdout early
+    (say, `| head`) gets no more, and the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 # -- table -------------------------------------------------------------------
 
 
@@ -165,7 +186,7 @@ def _render_table(grid: list[list[int]], k_max: int, n_max: int, source: str, fm
 
 def _cmd_table(args: argparse.Namespace) -> int:
     grid = _table_grid(args.k_max, args.n_max, args.source)
-    sys.stdout.write(_render_table(grid, args.k_max, args.n_max, args.source, args.fmt))
+    _emit(_render_table(grid, args.k_max, args.n_max, args.source, args.fmt))
     return EXIT_OK
 
 
@@ -193,16 +214,6 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, int, Iterator[Fin
     )
 
 
-class _ElementNames(dict):
-    """The decimal string of each element, converted once per request: the
-    members share few distinct elements, and converting every occurrence
-    was about half the cost of rendering them."""
-
-    def __missing__(self, x: int) -> str:
-        self[x] = name = str(x)
-        return name
-
-
 # Per format: the text before and after each member's comma-separated
 # elements, and the separator between members.  A text line is FiniteSet's
 # canonical rendering.
@@ -214,17 +225,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # stays at one chunk whatever the count; JSON writes its count up front.
     meta, count, members = _enumerate_stream(args)
     before, after, sep = _MEMBER_LAYOUT[args.fmt]
-    name = _ElementNames().__getitem__
     write = sys.stdout.write
-    if args.fmt == "json":
-        header = json.dumps({**meta, "count": count}, separators=(",", ":"))
-        write(header[:-1] + ',"sets":[')
-    lead = ""
-    while chunk := list(itertools.islice(members, _CHUNK)):
-        write(lead + sep.join([before + ",".join(map(name, E.elements)) + after for E in chunk]))
-        lead = sep
-    if args.fmt == "json":
-        write("]}\n")
+    try:
+        if args.fmt == "json":
+            header = json.dumps({**meta, "count": count}, separators=(",", ":"))
+            write(header[:-1] + ',"sets":[')
+        lead = ""
+        while chunk := list(itertools.islice(members, _CHUNK)):
+            write(lead + sep.join([before + ",".join(map(str, E.elements)) + after for E in chunk]))
+            lead = sep
+        if args.fmt == "json":
+            write("]}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`): not a failure.
+        _drop_stdout()
     return EXIT_OK
 
 
@@ -233,13 +248,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_suite(args.suite, n_max=args.n_max, k_max=args.k_max, seed=args.seed)
-    for report in reports:
-        sys.stdout.write(report.render() + "\n")
     passed = sum(1 for r in reports if r.passed)
     checks = sum(r.checks for r in reports)
     status = "OK" if passed == len(reports) else "FAILED"
-    sys.stdout.write(
-        f"suite {args.suite}: {passed}/{len(reports)} checks passed "
+    _emit(
+        "".join(report.render() + "\n" for report in reports)
+        + f"suite {args.suite}: {passed}/{len(reports)} checks passed "
         f"({checks} instances) {status}\n"
     )
     return EXIT_OK if passed == len(reports) else EXIT_VERIFY_FAILED
@@ -273,7 +287,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     else:
         payload = {"name": args.name, "start": start, "values": values}
         out = json.dumps(payload, separators=(",", ":")) + "\n"
-    sys.stdout.write(out)
+    _emit(out)
     return EXIT_OK
 
 
@@ -289,16 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`): not a failure.  Point
-        # the descriptor at devnull so the interpreter's final flush is silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OK
+        return _COMMANDS[args.command](args)
     except SizeLimitError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT

@@ -22,9 +22,10 @@ iterator that builds the members one by one, already in EnumOrder (K and
 mpq visit members only; A's listing passes over fewer other sets than it
 yields).
 That is the route the command line serves, writing members as they come,
-so its memory does not grow with the output; ``enumerate_*(...,
-strategy="structured")`` is the same route as a list, and the naive scan
-stays as the oracle the verification code checks it against.
+so its memory does not grow with the output.  ``enumerate_family_a`` and
+``enumerate_ratio_family`` are the naive scans, the oracles the stream
+routes are checked against; ``enumerate_family_k`` takes a strategy, so
+that the verification of Theorem 1.4 can compare its two lists.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -234,20 +235,13 @@ def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
     return count, _iter_a_structured(k, n)
 
 
-def enumerate_family_a(k: int, n: int, *, strategy: str) -> list[FiniteSet]:
-    """Return every member of the bounded weight-k family, in EnumOrder.
-
-    strategy "naive" scans all 2**n subsets (the oracle); strategy
-    "structured" lists the members size by size (the serving route).
-    """
-    if strategy == "naive":
-        _require_a_domain(k, n, "enumerate_family_a")
-        return _members_in_order(
-            _a_member_masks(k, _a_candidate_masks(n, "enumerate_family_a"))
-        )
-    if strategy == "structured":
-        return list(stream_family_a(k, n)[1])
-    raise DomainError(f"enumerate_family_a: unknown strategy {strategy!r}")
+def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
+    """Return every member of the bounded weight-k family, in EnumOrder, by
+    scanning all 2**n subsets (the oracle for ``stream_family_a``)."""
+    _require_a_domain(k, n, "enumerate_family_a")
+    return _members_in_order(
+        _a_member_masks(k, _a_candidate_masks(n, "enumerate_family_a"))
+    )
 
 
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
@@ -399,17 +393,8 @@ def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet
     return count, _iter_ratio_structured(p, q, n)
 
 
-def enumerate_ratio_family(p: int, q: int, n: int, *, strategy: str) -> list[FiniteSet]:
-    """Return every member of the ratio family at level n, in EnumOrder.
-
-    strategy "naive" scans the 2**(n-1) subsets of {1..n} with maximum n
-    (the oracle); strategy "structured" lists the members size by size (the
-    serving route).
-    """
-    if strategy == "naive":
-        return _members_in_order(
-            _ratio_member_masks(p, q, n, "enumerate_ratio_family")
-        )
-    if strategy == "structured":
-        return list(stream_ratio_family(p, q, n)[1])
-    raise DomainError(f"enumerate_ratio_family: unknown strategy {strategy!r}")
+def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
+    """Return every member of the ratio family at level n, in EnumOrder, by
+    scanning the 2**(n-1) subsets of {1..n} with maximum n (the oracle for
+    ``stream_ratio_family``)."""
+    return _members_in_order(_ratio_member_masks(p, q, n, "enumerate_ratio_family"))

@@ -28,7 +28,7 @@ def test_diag_shift_examples():
 
 def test_diag_shift_images_stay_admissible():
     for n in range(2, 13):
-        for F in enumerate_family_a(n - 1, n - 1, strategy="naive"):
+        for F in enumerate_family_a(n - 1, n - 1):
             image = diag_shift(F, n)
             assert in_weighted_family(image, n + 1)
             assert image.max == n + 1

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -147,12 +148,12 @@ def test_enumerate_renders_the_oracle_members(capsys):
     # lists exactly as one json.dumps / str(FiniteSet) pass over it would.
     for argv, meta, members in (
         (["--family", "A", "--k", "3", "--n", "18"], {"family": "A", "k": 3, "n": 18},
-         enumerate_family_a(3, 18, strategy="naive")),
+         enumerate_family_a(3, 18)),
         (["--family", "K", "--n", "20"], {"family": "K", "n": 20},
          enumerate_family_k(20, strategy="naive")),
         (["--family", "mpq", "--p", "1", "--q", "2", "--n", "16"],
          {"family": "mpq", "p": 1, "q": 2, "n": 16},
-         enumerate_ratio_family(1, 2, 16, strategy="naive")),
+         enumerate_ratio_family(1, 2, 16)),
     ):
         assert len(members) > cli._CHUNK
         want = {
@@ -213,6 +214,31 @@ def test_enumerate_into_a_closed_pipe_exits_zero():
         err = child.stderr.read()
         assert child.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["verify", "--suite", "thm1_4", "--n-max", "1"], 1),
+        (["verify", "--suite", "eq3_9", "--n-max", "10", "--k-max", "3"], 0),
+        (["table", "--k-max", "3", "--n-max", "5"], 0),
+    ],
+)
+def test_a_closed_reader_changes_no_exit_code(argv, want):
+    # Stdout is a pipe whose reader is gone before the first write: a suite
+    # that found a counterexample still exits 1, and one that passed exits 0.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "schreier", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (want, b""), argv
 
 
 # -- sequence ------------------------------------------------------------

@@ -27,17 +27,23 @@ def canon(members):
     return [str(E) for E in members]
 
 
+def streamed(route, *args):
+    """The members a stream route yields, as a list."""
+    return list(route(*args)[1])
+
+
 def test_enumerate_family_a_small_examples():
-    for strategy in ("naive", "structured"):
-        assert canon(enumerate_family_a(1, 1, strategy=strategy)) == ["{}", "{1}"]
-        assert canon(enumerate_family_a(2, 3, strategy=strategy)) == [
-            "{}", "{2}", "{3}", "{2,3}",
-        ]
+    for route in (enumerate_family_a, lambda k, n: streamed(stream_family_a, k, n)):
+        assert canon(route(1, 1)) == ["{}", "{1}"]
+        assert canon(route(2, 3)) == ["{}", "{2}", "{3}", "{2,3}"]
 
 
 def test_enumeration_is_in_canonical_order():
-    for k, n, strategy in ((1, 6, "naive"), (3, 8, "structured"), (5, 9, "naive")):
-        members = enumerate_family_a(k, n, strategy=strategy)
+    for members in (
+        enumerate_family_a(1, 6),
+        streamed(stream_family_a, 3, 8),
+        enumerate_family_a(5, 9),
+    ):
         assert members[0] == FiniteSet()
         assert members == sorted(members, key=enum_order_key)
         assert len(set(members)) == len(members)
@@ -48,17 +54,15 @@ def test_count_strategies_agree_with_enumeration():
         for n in range(1, 13):
             naive = count_family_a(k, n, "naive")
             by_min = count_family_a(k, n, "by_min")
-            enum_naive = len(enumerate_family_a(k, n, strategy="naive"))
-            enum_structured = len(enumerate_family_a(k, n, strategy="structured"))
-            assert naive == by_min == enum_naive == enum_structured
+            enum_naive = len(enumerate_family_a(k, n))
+            count, members = stream_family_a(k, n)
+            assert naive == by_min == enum_naive == count == len(list(members))
 
 
 def test_structured_enumeration_matches_naive_sets():
     for n in range(1, 15):
         for k in range(1, n + 3):
-            assert enumerate_family_a(k, n, strategy="naive") == enumerate_family_a(
-                k, n, strategy="structured"
-            ), (k, n)
+            assert enumerate_family_a(k, n) == streamed(stream_family_a, k, n), (k, n)
 
 
 def test_frozen_count_values():
@@ -110,8 +114,8 @@ def test_structured_family_k_matches_naive():
 def test_ratio_family_frozen_values():
     # frozen from the exhaustive scan
     assert count_ratio_family(2, 1, 3) == 1
-    for strategy in ("naive", "structured"):
-        assert canon(enumerate_ratio_family(2, 1, 3, strategy=strategy)) == ["{3}"]
+    assert canon(enumerate_ratio_family(2, 1, 3)) == ["{3}"]
+    assert canon(streamed(stream_ratio_family, 2, 1, 3)) == ["{3}"]
     assert count_ratio_family(1, 1, 4) == 3
     assert count_ratio_family(1, 1, 6) == 8
     assert [count_ratio_family(1, 2, n) for n in range(1, 11)] == [
@@ -129,8 +133,10 @@ def test_ratio_family_enumeration_matches_count():
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             for n in range(1, 11):
-                for strategy in ("naive", "structured"):
-                    members = enumerate_ratio_family(p, q, n, strategy=strategy)
+                for members in (
+                    enumerate_ratio_family(p, q, n),
+                    streamed(stream_ratio_family, p, q, n),
+                ):
                     assert len(members) == count_ratio_family(p, q, n)
                     assert members == sorted(members, key=enum_order_key)
 
@@ -139,9 +145,9 @@ def test_structured_ratio_family_matches_naive():
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             for n in range(1, 17):
-                assert enumerate_ratio_family(
-                    p, q, n, strategy="structured"
-                ) == enumerate_ratio_family(p, q, n, strategy="naive"), (p, q, n)
+                assert streamed(stream_ratio_family, p, q, n) == enumerate_ratio_family(
+                    p, q, n
+                ), (p, q, n)
 
 
 def test_stream_counts_match_the_recurrences():
@@ -183,7 +189,7 @@ def test_mask_scans_agree_with_set_predicates():
         grid = count_family_a_grid(n + 1, n)
         for k in range(1, n + 2):
             want = [E for E in ordered if in_family_a(E, k, n)]
-            assert enumerate_family_a(k, n, strategy="naive") == want, (k, n)
+            assert enumerate_family_a(k, n) == want, (k, n)
             assert grid[k - 1][n - 1] == len(want), (k, n)
         if n >= 2:
             want = [E for E in ordered if in_family_k(E, n)]
@@ -195,9 +201,8 @@ def test_mask_scans_agree_with_set_predicates():
                     E for E in ordered
                     if not E.is_empty() and E.max == n and q * E.min >= p * len(E)
                 ]
-                for strategy in ("naive", "structured"):
-                    got = enumerate_ratio_family(p, q, n, strategy=strategy)
-                    assert got == want, (strategy, p, q, n)
+                assert enumerate_ratio_family(p, q, n) == want, (p, q, n)
+                assert streamed(stream_ratio_family, p, q, n) == want, (p, q, n)
 
 
 def test_size_caps():
@@ -212,11 +217,11 @@ def test_size_caps():
         count_family_a_grid(10**9, 10)
     for k in (1, 12, 36, 40):
         with pytest.raises(SizeLimitError):
-            enumerate_family_a(k, 36, strategy="structured")
+            stream_family_a(k, 36)
     with pytest.raises(SizeLimitError):
-        enumerate_family_a(1, 10**6, strategy="structured")
+        stream_family_a(1, 10**6)
     with pytest.raises(SizeLimitError):
-        enumerate_family_a(1, 25, strategy="naive")
+        enumerate_family_a(1, 25)
     for n in (26, 10**12):
         with pytest.raises(SizeLimitError):
             enumerate_family_k(n, strategy="naive")
@@ -226,7 +231,7 @@ def test_size_caps():
     with pytest.raises(SizeLimitError):
         count_ratio_family(1, 1, 26)
     with pytest.raises(SizeLimitError):
-        enumerate_ratio_family(1, 1, 26, strategy="naive")
+        enumerate_ratio_family(1, 1, 26)
     for n in (37, 10**12):
         with pytest.raises(SizeLimitError):
             stream_ratio_family(1, 1, n)
@@ -239,20 +244,18 @@ def test_oracle_cap_is_the_one_size_bound(monkeypatch):
         require_scan_within_cap(25, "scan")
     # The structured route is capped by its member count, not by n:
     # a(1, 35) = F(36) + 1 is within the bound, a(35, 35) = 2 F(35) is not.
-    monkeypatch.setattr(enumeration, "_iter_a_structured", lambda k, n: iter(()))
-    assert enumerate_family_a(1, 35, strategy="structured") == []
+    assert stream_family_a(1, 35)[0] == fib(36) + 1
     with pytest.raises(SizeLimitError):
-        enumerate_family_a(35, 35, strategy="structured")
+        stream_family_a(35, 35)
     # Structured K and mpq count their members: K(37) = F(36) = 14,930,352
     # and mpq(1, 1, 36) = F(36) pass, F(37) = 24,157,817 does not.
     monkeypatch.setattr(enumeration, "_iter_k_structured", lambda n: iter(()))
     assert enumerate_family_k(37, strategy="structured") == []
     with pytest.raises(SizeLimitError):
         enumerate_family_k(38, strategy="structured")
-    monkeypatch.setattr(enumeration, "_iter_ratio_structured", lambda p, q, n: iter(()))
-    assert enumerate_ratio_family(1, 1, 36, strategy="structured") == []
+    assert stream_ratio_family(1, 1, 36)[0] == fib(36)
     with pytest.raises(SizeLimitError):
-        enumerate_ratio_family(1, 1, 37, strategy="structured")
+        stream_ratio_family(1, 1, 37)
 
 
 def test_domain_errors():
@@ -266,7 +269,9 @@ def test_domain_errors():
         with pytest.raises(DomainError):
             count_family_a_grid(k_max, n_max)
     with pytest.raises(DomainError):
-        enumerate_family_a(1, 5, strategy="magic")
+        enumerate_family_a(0, 5)
+    with pytest.raises(DomainError):
+        enumerate_family_a(1, 0)
     with pytest.raises(DomainError):
         enumerate_family_k(5, strategy="magic")
     for strategy in ("naive", "structured"):
@@ -274,13 +279,10 @@ def test_domain_errors():
             enumerate_family_k(1, strategy=strategy)
     with pytest.raises(DomainError):
         count_ratio_family(0, 1, 5)
-    for strategy in ("naive", "structured"):
-        with pytest.raises(DomainError):
-            enumerate_ratio_family(1, 0, 5, strategy=strategy)
-        with pytest.raises(DomainError):
-            enumerate_ratio_family(1, 1, 0, strategy=strategy)
     with pytest.raises(DomainError):
-        enumerate_ratio_family(1, 1, 5, strategy="magic")
+        enumerate_ratio_family(1, 0, 5)
+    with pytest.raises(DomainError):
+        enumerate_ratio_family(1, 1, 0)
     for stream, args in (
         (stream_family_a, (0, 5)),
         (stream_family_a, (1, 0)),
