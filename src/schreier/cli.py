@@ -214,17 +214,26 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, int, Iterator[Fin
     )
 
 
-# Per format: the text before and after each member's comma-separated
-# elements, and the separator between members.  A text line is FiniteSet's
-# canonical rendering.
-_MEMBER_LAYOUT = {"text": ("{", "}\n", ""), "csv": ("", "\n", ""), "json": ("[", "]", ",")}
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _render_chunk(chunk: list[FiniteSet], fmt: str) -> str:
+    """Render a nonempty chunk of members with one call of the C JSON
+    encoder.  JSON items are the encoded lists; a text line (FiniteSet's
+    canonical rendering) or a csv line is one encoded list with its brackets
+    swapped for the line's own."""
+    body = _encode_json([E.elements for E in chunk])  # "[[e1,e2],[e3]]"
+    if fmt == "json":
+        return body[1:-1]
+    before, after = ("{", "}\n") if fmt == "text" else ("", "\n")
+    return before + body[2:-2].replace("],[", after + before) + after
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # Members are built, rendered and written one chunk at a time, so memory
     # stays at one chunk whatever the count; JSON writes its count up front.
     meta, count, members = _enumerate_stream(args)
-    before, after, sep = _MEMBER_LAYOUT[args.fmt]
+    sep = "," if args.fmt == "json" else ""
     write = sys.stdout.write
     try:
         if args.fmt == "json":
@@ -232,7 +241,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             write(header[:-1] + ',"sets":[')
         lead = ""
         while chunk := list(itertools.islice(members, _CHUNK)):
-            write(lead + sep.join([before + ",".join(map(str, E.elements)) + after for E in chunk]))
+            write(lead + _render_chunk(chunk, args.fmt))
             lead = sep
         if args.fmt == "json":
             write("]}\n")

@@ -31,13 +31,15 @@ class FiniteSet:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # Two tests per element on the common path, a plain int above its
+        # predecessor; prev is never below 0, so every x < 1 fails x > prev.
         prev = 0
         for x in self.elements:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
                 raise DomainError(f"FiniteSet: elements must be ints, got {x!r}")
-            if x < 1:
-                raise DomainError(f"FiniteSet: elements must be >= 1, got {x}")
             if x <= prev:
+                if x < 1:
+                    raise DomainError(f"FiniteSet: elements must be >= 1, got {x}")
                 raise DomainError(
                     f"FiniteSet: elements must be strictly increasing, got {self.elements}"
                 )
