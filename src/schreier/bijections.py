@@ -15,15 +15,14 @@ each realized as a pair of maps whose images partition the next level:
   on the minimum element.
 
 ``verify_partition`` never trusts those descriptions: it re-derives every
-domain and codomain from the brute-force enumeration oracle (the naive mask
-scans of ``enumeration``: ``enumerate_family_a``, and
-``enumerate_family_k`` with ``strategy="naive"``, never the structured
-routes), applies the maps, and reports
-four independent flags (well-definedness, injectivity, disjointness of
-the two images, exact cover of the codomain).  All four flags true is
-precisely the claimed partition.  Domain errors raised by a map surface as
-well-definedness failures, never as silent skips, and the first violation
-is chosen deterministically in enumeration order.
+domain and codomain from the brute-force enumeration oracles (the naive mask
+scans ``enumerate_family_a`` and ``enumerate_family_k``, never the
+structured routes), applies the maps, and reports four independent flags
+(well-definedness, injectivity, disjointness of the two images, exact cover
+of the codomain).  All four flags true is precisely the claimed partition.
+Domain errors raised by a map surface as well-definedness failures, never as
+silent skips, and the first violation is chosen deterministically in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -129,10 +128,6 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
 # -- partition verification ---------------------------------------------------
 
 
-def _oracle_family_a(k: int, n: int) -> list[FiniteSet]:
-    return enumerate_family_a(k, n)
-
-
 def _apply_in_order(
     domain: list[FiniteSet], fn: Callable[[FiniteSet], FiniteSet]
 ) -> tuple[list[tuple[FiniteSet, FiniteSet]], Optional[tuple[FiniteSet, str]]]:
@@ -234,9 +229,9 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
             "diag_shift+diag_swap",
             n,
             None,
-            (_oracle_family_a(n - 1, n - 1), lambda F: diag_shift(F, n)),
-            (_oracle_family_a(n, n), lambda F: diag_swap(F, n)),
-            _oracle_family_a(n + 1, n + 1),
+            (enumerate_family_a(n - 1, n - 1), lambda F: diag_shift(F, n)),
+            (enumerate_family_a(n, n), lambda F: diag_swap(F, n)),
+            enumerate_family_a(n + 1, n + 1),
         )
 
     if kind == "rec3_1":
@@ -250,9 +245,9 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
             "embed+column_shift",
             n,
             k,
-            (_oracle_family_a(k, n - 1), lambda F: F),
-            (_oracle_family_a(k - 1, n - 2), lambda F: column_shift(F, k, n)),
-            _oracle_family_a(k, n),
+            (enumerate_family_a(k, n - 1), lambda F: F),
+            (enumerate_family_a(k - 1, n - 2), lambda F: column_shift(F, k, n)),
+            enumerate_family_a(k, n),
         )
 
     if k is not None:
@@ -263,7 +258,7 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
         "shift_by_one+two_level_step",
         n,
         None,
-        (enumerate_family_k(n, strategy="naive"), shift_by_one),
-        (enumerate_family_k(n - 1, strategy="naive"), lambda F: two_level_step(F, n)),
-        enumerate_family_k(n + 1, strategy="naive"),
+        (enumerate_family_k(n), shift_by_one),
+        (enumerate_family_k(n - 1), lambda F: two_level_step(F, n)),
+        enumerate_family_k(n + 1),
     )

@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
 exceeded a brute-force size cap.  A reader that closes stdout early (say,
 ``| head``) changes no exit code: the command stops writing, ``enumerate``
-exits 0, and ``verify`` still exits 1 on a counterexample.  All output is deterministic: the same invocation produces byte-identical stdout,
-with LF line endings, so table output can be diffed against golden files.
+exits 0, and ``verify`` still exits 1 on a counterexample.
+
+All output is deterministic: the same invocation produces byte-identical
+stdout, with LF line endings, so table output can be diffed against golden
+files.
 """
 
 from __future__ import annotations

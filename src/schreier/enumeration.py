@@ -1,31 +1,26 @@
 """Brute-force oracles and structured enumeration for the set families.
 
-Everything here is deliberately dumb: the naive routines scan every subset
-of the universe by bitmask and test the defining inequality directly, so
-they serve as the independent ground truth for the closed forms elsewhere
-in the package.  A second, structured counting route (``by_min``) partitions
-on the minimum element and on whether the zero-weighted index k occurs,
-summing binomial coefficients without materializing sets; the two routes
-check each other.
+Each family has two routes, and they check each other.
 
-Each family has exactly one mask scan (the oracle), shared by its counting
-and enumerating functions.  For family A that scan keeps the candidates,
-the sets with min >= size, which hold every member for every k; the one
-member predicate then runs over them, so a single-cell count, the naive
-enumeration and the whole (k, n) grid of ``count_family_a_grid`` all read
-one scan of {1..n}.
+The oracle is a naive mask scan: it visits every subset of the universe by
+bitmask and tests the defining inequality directly, so it is the independent
+ground truth for the closed forms and for the structured route.  Family A's
+one scan keeps the candidates, the sets with min >= size, which hold every
+member for every k; the one member predicate then runs over them, so
+``count_family_a``, ``enumerate_family_a`` and the whole (k, n) grid of
+``count_family_a_grid`` all read one scan of {1..n}.  ``enumerate_family_k``,
+``count_ratio_family`` and ``enumerate_ratio_family`` scan one pinned level.
 
-Each family also has one structured route, ``stream_family_a``,
-``stream_family_k`` and ``stream_ratio_family``: it counts the members part
-by part, checks the count against the size cap, and returns it with an
-iterator that builds the members one by one, already in EnumOrder (K and
-mpq visit members only; A's listing passes over fewer other sets than it
-yields).
-That is the route the command line serves, writing members as they come,
-so its memory does not grow with the output.  ``enumerate_family_a`` and
-``enumerate_ratio_family`` are the naive scans, the oracles the stream
-routes are checked against; ``enumerate_family_k`` takes a strategy, so
-that the verification of Theorem 1.4 can compare its two lists.
+The structured route, ``stream_family_a``, ``stream_family_k`` and
+``stream_ratio_family``, counts the members part by part without building
+them, checks the count against the size cap, and returns it with an iterator
+that builds the members one by one, already in EnumOrder.  The command line
+serves it, writing members as they come, so its memory does not grow with
+the output.  Family A is counted by minimum element and listed size by size,
+passing over fewer other sets than it yields.  K and mpq share one pinned
+engine: a family is a list of parts ``(prefix, r, lo)``, each standing for
+the C(n - lo, r) members ``prefix + c + (n,)`` with c an r-subset of
+{lo..n-1}, so their listing visits members only.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -36,30 +31,26 @@ element i.  Family A scans [0, 2**n), every subset of {1..n}; the pinned
 families K and mpq scan [2**(n-1), 2**n), the subsets whose top bit is the
 maximum n, so each family is one predicate on the mask.
 
-Size cap: before it builds any set, every route that lists sets counts the
-candidate sets it will visit, part by part, and is refused at the first
-partial sum past ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails
-at once.  A naive scan of {1..n} counts 2**n (2**(n-1) for a pinned level).
-The structured routes count their members: A by minimum (each a(k, n) is at
-least F(n+1), so every n >= 36 is refused), K by size ({n}, then 1 + (n-4) +
-C(n-4, 2) of size 3, then C(n-1-s, s-1) for each size s >= 4, F(n-1) in
-all, so n <= 37 passes), and mpq by size ([q*n >= p] for {n}, then
-C(n - ceil(p*s/q), s-1) for each size s >= 2; mpq(1, 1, n) = F(n), so
-n <= 36 passes there).  Since the members are streamed, the cap bounds time,
-not memory.
+Size cap: before it builds any set, every route counts the candidate sets it
+will visit, part by part, and is refused at the first partial sum past
+``MAX_CANDIDATES`` = 2**24, so even n in the millions fails at once.  A naive
+scan of {1..n} counts 2**n (2**(n-1) for a pinned level).  The structured
+routes count their members: each a(k, n) is at least F(n+1), so every
+n >= 36 is refused for A; K(n) = F(n-1), so n <= 37 passes; and
+mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are
+streamed, the cap bounds time, not memory.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import binom
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
 
 MAX_CANDIDATES = 1 << 24
-BY_MIN_MAX_N = 64
 
 
 def oracle_cap() -> int:
@@ -134,8 +125,8 @@ def _a_member_masks(k: int, candidates: list[int]) -> list[int]:
 
 
 def _a_counts_by_min(k: int, n: int) -> Iterator[int]:
-    """Yield the sizes of the by_min partition of the family: the empty set,
-    then the members with min element m for each m = 1..n.
+    """Yield the sizes of the partition of the family by minimum: the empty
+    set, then the members with min element m for each m = 1..n.
 
     A nonempty member with min element m consists of m, possibly k, and t
     further elements drawn from {m+1..n} minus {k}; admissibility caps t at
@@ -176,23 +167,11 @@ def _require_a_domain(k: int, n: int, what: str) -> None:
         raise DomainError(f"{what}: n must be >= 1, got {n}")
 
 
-def count_family_a(k: int, n: int, strategy: str = "naive") -> int:
-    """Count the bounded weight-k family over {1..n}, empty set included.
-
-    strategy "naive" scans all 2**n subsets and tests the definition;
-    strategy "by_min" sums binomials over a partition of the members.  The
-    two must agree; the verification suites check that they do.
-    """
+def count_family_a(k: int, n: int) -> int:
+    """Count the bounded weight-k family over {1..n}, empty set included, by
+    scanning all 2**n subsets (the oracle for ``stream_family_a``'s count)."""
     _require_a_domain(k, n, "count_family_a")
-    if strategy == "naive":
-        return len(_a_member_masks(k, _a_candidate_masks(n, "count_family_a")))
-    if strategy == "by_min":
-        if n > BY_MIN_MAX_N:
-            raise SizeLimitError(
-                f"count_family_a: by_min strategy capped at n <= {BY_MIN_MAX_N}, got {n}"
-            )
-        return sum(_a_counts_by_min(k, n))
-    raise DomainError(f"count_family_a: unknown strategy {strategy!r}")
+    return len(_a_member_masks(k, _a_candidate_masks(n, "count_family_a")))
 
 
 def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
@@ -244,38 +223,48 @@ def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
     )
 
 
+# -- the pinned families K and mpq: max = n ----------------------------------
+
+# A part (prefix, r, lo) of a pinned level n: the members prefix + c + (n,)
+# for each r-subset c of {lo..n-1}, listed lexicographically.
+_Part = tuple[tuple[int, ...], int, int]
+
+
+def _stream_pinned(
+    n: int, parts: Callable[[], Iterator[_Part]], what: str
+) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members in the parts of level n, which must
+    already be in EnumOrder, and an iterator that builds them one by one.
+
+    The part sizes C(n - lo, r) pass the size cap before the first member is
+    built; ``parts`` is called once to count and once to list.
+    """
+    count = require_within_cap((binom(n - lo, r) for _, r, lo in parts()), what)
+    top = (n,)
+    return count, (
+        FiniteSet(prefix + c + top)
+        for prefix, r, lo in parts()
+        for c in itertools.combinations(range(lo, n), r)
+    )
+
+
 # -- family K: pinned max, weight zero on 2 and 3, size != 2 ----------------
 
 
-def _k_counts_by_size(n: int) -> Iterator[int]:
-    """Yield the number of members of the pinned family at level n of each
-    size that has any: 1, 3, 4, ...
+def _k_parts(n: int) -> Iterator[_Part]:
+    """Yield the parts of the pinned family at level n, in EnumOrder.
 
-    A member of size s >= 4 has min E > s - [2 in E] - [3 in E], which 2 and
-    3 cannot meet, so its other s - 1 elements lie in {s+1..n-1}: there are
-    C(n-1-s, s-1) of them.  Size 3 adds {2,3,n} and the n - 4 sets {3,x,n}.
+    {n} comes first.  A member of size s >= 3 that avoids 2 and 3 has
+    min E > s, so its other s - 1 elements lie in {s+1..n-1}.  Only size 3
+    lets 2 or 3 in (min E > s - [2 in E] - [3 in E] fails otherwise):
+    {2,3,n} and {3,x,n} for x = 4..n-1, which sort before the rest.
     """
-    yield 1  # {n}
+    yield (), 0, n
     if n >= 4:
-        yield 1 + (n - 4) + binom(n - 4, 2)
-    for s in range(4, n // 2 + 1):
-        yield binom(n - 1 - s, s - 1)
-
-
-def _iter_k_structured(n: int) -> Iterator[FiniteSet]:
-    """Yield every member of the pinned family at level n, in EnumOrder,
-    visiting members only: {n}; then {2,3,n} and {3,x,n} for x = 4..n-1;
-    then for each size s >= 3 the (s-1)-subsets of {s+1..n-1} plus n (see
-    ``_k_counts_by_size``), listed lexicographically, so no sort is needed.
-    """
-    yield FiniteSet((n,))
-    if n >= 4:
-        yield FiniteSet((2, 3, n))
-        for x in range(4, n):
-            yield FiniteSet((3, x, n))
+        yield (2, 3), 0, n
+        yield (3,), 1, 4
     for s in range(3, n // 2 + 1):
-        for rest in itertools.combinations(range(s + 1, n), s - 1):
-            yield FiniteSet(rest + (n,))
+        yield (), s - 1, s + 1
 
 
 def _require_k_domain(n: int, what: str) -> None:
@@ -285,41 +274,27 @@ def _require_k_domain(n: int, what: str) -> None:
 
 def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
     """Return the number of members of the pinned family at level n and an
-    iterator that builds them one by one, in EnumOrder (the serving route).
-
-    The member count, summed by size, passes the size cap before the first
-    member is built.
-    """
+    iterator that builds them one by one, in EnumOrder (the serving route)."""
     _require_k_domain(n, "stream_family_k")
-    count = require_within_cap(
-        _k_counts_by_size(n), f"stream_family_k: members of K({n})"
+    return _stream_pinned(n, lambda: _k_parts(n), f"stream_family_k: members of K({n})")
+
+
+def enumerate_family_k(n: int) -> list[FiniteSet]:
+    """Return every member of the pinned family at level n, in EnumOrder, by
+    scanning the 2**(n-1) subsets of {1..n} with maximum n and keeping those
+    of size != 2 whose min exceeds the weight that zero-rates 2 and 3 (the
+    oracle for ``stream_family_k``)."""
+    _require_k_domain(n, "enumerate_family_k")
+    require_scan_within_cap(n - 1, "enumerate_family_k")
+    return _members_in_order(
+        [
+            m
+            for m in range(1 << (n - 1), 1 << n)
+            if m.bit_count() != 2
+            and (m & -m).bit_length()
+            > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
+        ]
     )
-    return count, _iter_k_structured(n)
-
-
-def enumerate_family_k(n: int, *, strategy: str) -> list[FiniteSet]:
-    """Return every member of the pinned family at level n, in EnumOrder.
-
-    strategy "naive" scans the 2**(n-1) subsets of {1..n} with maximum n and
-    keeps those of size != 2 whose min exceeds the weight that zero-rates 2
-    and 3 (the oracle); strategy "structured" lists the members size by size
-    (the serving route).
-    """
-    if strategy == "naive":
-        _require_k_domain(n, "enumerate_family_k")
-        require_scan_within_cap(n - 1, "enumerate_family_k")
-        return _members_in_order(
-            [
-                m
-                for m in range(1 << (n - 1), 1 << n)
-                if m.bit_count() != 2
-                and (m & -m).bit_length()
-                > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
-            ]
-        )
-    if strategy == "structured":
-        return list(stream_family_k(n)[1])
-    raise DomainError(f"enumerate_family_k: unknown strategy {strategy!r}")
 
 
 # -- ratio family: q * min >= p * size, pinned max --------------------------
@@ -344,33 +319,17 @@ def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
     ]
 
 
-def _ratio_sizes(p: int, q: int, n: int) -> Iterator[tuple[int, int]]:
-    """Yield (s, lo) for each size s >= 2 with members at level n, where
-    lo = ceil(p*s/q) is the least min a member of size s may have: its
-    other s - 1 elements form an (s-1)-subset of {lo..n-1}.  lo grows with
-    s, so the sizes end at the first s with lo > n - s + 1."""
+def _ratio_parts(p: int, q: int, n: int) -> Iterator[_Part]:
+    """Yield the parts of the ratio family at level n, in EnumOrder: {n} when
+    q*n >= p, then for each size s >= 2 the (s-1)-subsets of {lo..n-1} plus n,
+    where lo = ceil(p*s/q) is the least min a member of size s may have.  lo
+    grows with s, so the sizes end at the first s with lo > n - s + 1."""
+    if q * n >= p:
+        yield (), 0, n
     s = 2
     while (lo := -(-p * s // q)) <= n - s + 1:
-        yield s, lo
+        yield (), s - 1, lo
         s += 1
-
-
-def _ratio_counts_by_size(p: int, q: int, n: int) -> Iterator[int]:
-    """Yield the number of members of the ratio family at level n of each
-    size: [q*n >= p] for {n}, then C(n - lo, s - 1) for each size s >= 2."""
-    yield int(q * n >= p)
-    for s, lo in _ratio_sizes(p, q, n):
-        yield binom(n - lo, s - 1)
-
-
-def _iter_ratio_structured(p: int, q: int, n: int) -> Iterator[FiniteSet]:
-    """Yield every member of the ratio family at level n, in EnumOrder,
-    visiting members only (see ``_ratio_sizes``)."""
-    if q * n >= p:
-        yield FiniteSet((n,))
-    for s, lo in _ratio_sizes(p, q, n):
-        for rest in itertools.combinations(range(lo, n), s - 1):
-            yield FiniteSet(rest + (n,))
 
 
 def count_ratio_family(p: int, q: int, n: int) -> int:
@@ -380,17 +339,13 @@ def count_ratio_family(p: int, q: int, n: int) -> int:
 
 def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
     """Return the number of members of the ratio family at level n and an
-    iterator that builds them one by one, in EnumOrder (the serving route).
-
-    The member count, summed by size, passes the size cap before the first
-    member is built.
-    """
+    iterator that builds them one by one, in EnumOrder (the serving route)."""
     _require_ratio_domain(p, q, n, "stream_ratio_family")
-    count = require_within_cap(
-        _ratio_counts_by_size(p, q, n),
+    return _stream_pinned(
+        n,
+        lambda: _ratio_parts(p, q, n),
         f"stream_ratio_family: members of mpq({p}, {q}, {n})",
     )
-    return count, _iter_ratio_structured(p, q, n)
 
 
 def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:

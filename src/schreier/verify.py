@@ -36,6 +36,8 @@ from .enumeration import (
     count_ratio_family,
     enumerate_family_k,
     require_scan_within_cap,
+    stream_family_a,
+    stream_family_k,
 )
 from .errors import DomainError
 from .finite_sets import FiniteSet, SchreierClass, classify, in_weighted_family
@@ -136,7 +138,7 @@ def suite_thm1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
         for k in range(1, k_top + 1):
             for n in range(1, n_top + 1):
                 want = grid[k - 1][n - 1]
-                got = (closed_count(k, n), count_family_a(k, n, "by_min"))
+                got = (closed_count(k, n), stream_family_a(k, n)[0])
                 yield (f"k={k} n={n}", got, (want, want))
 
     expansion = _run_checks(
@@ -191,9 +193,9 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     # Each level is built once; only these small facts outlive it.
     sizes, agrees, splits, min2_members, min3_sizes = {}, {}, {}, {}, {}
     for n in range(2, level_top + 1):
-        members = enumerate_family_k(n, strategy="structured")
+        members = list(stream_family_k(n)[1])
         if n <= oracle_top:
-            agrees[n] = members == enumerate_family_k(n, strategy="naive")
+            agrees[n] = members == enumerate_family_k(n)
         has = Counter((2 in E, 3 in E) for E in members)
         sizes[n] = len(members)
         splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
@@ -269,7 +271,7 @@ def suite_prop3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 want = fib(n + 1)
                 yield (
                     f"k={k} n={n}",
-                    (count_family_a(k, n, "naive"), count_family_a(k, n, "by_min")),
+                    (count_family_a(k, n), stream_family_a(k, n)[0]),
                     (want, want),
                 )
 
@@ -532,8 +534,6 @@ def suite_identities(n_max=None, k_max=None, seed=None) -> list[Report]:
 def suite_all(n_max=None, k_max=None, seed=None) -> list[Report]:
     reports = []
     for name in SUITE_ORDER:
-        if name == "all":
-            continue
         reports.extend(SUITES[name](n_max=n_max, k_max=k_max, seed=seed))
     return reports
 
@@ -556,23 +556,7 @@ SUITES: dict[str, Callable[..., list[Report]]] = {
     "identities": suite_identities,
     "all": suite_all,
 }
-SUITE_ORDER = (
-    "thm1_1",
-    "thm1_2",
-    "thm1_3",
-    "thm1_4",
-    "prop3_1",
-    "rec3_1",
-    "lemma3_3",
-    "lemma3_4",
-    "lemma3_5",
-    "eq3_8",
-    "eq3_9",
-    "eq1_2",
-    "eq3_10",
-    "mpq",
-    "identities",
-)
+SUITE_ORDER = tuple(name for name in SUITES if name != "all")
 
 
 def run_suite(

@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 
 from schreier.closed_forms import closed_count, recurrence_table
-from schreier.enumeration import count_family_a, enumerate_family_k
+from schreier.enumeration import count_family_a, enumerate_family_k, stream_family_k
 from schreier.verify import run_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
@@ -95,7 +95,7 @@ def test_published_table_three_sources():
             closed = [[closed_count(k, n) for n in range(1, 17)] for k in range(1, 8)]
             rec = recurrence_table(7, 16)
             oracle = [
-                [count_family_a(k, n, "naive") for n in range(1, 17)]
+                [count_family_a(k, n) for n in range(1, 17)]
                 for k in range(1, 8)
             ]
         assert closed == want
@@ -125,9 +125,11 @@ def test_pinned_family_count_and_cases():
     with criterion("pinned-family-count-and-cases"):
         check_suite("thm1_4", 120)
         for n in range(2, 23):
-            for strategy in ("naive", "structured"):
-                members = enumerate_family_k(n, strategy=strategy)
-                assert all(E.max == n for E in members), f"n={n} {strategy}"
+            for route, members in (
+                ("naive", enumerate_family_k(n)),
+                ("structured", stream_family_k(n)[1]),
+            ):
+                assert all(E.max == n for E in members), f"n={n} {route}"
 
 
 def test_partition_bijections():

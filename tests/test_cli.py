@@ -150,7 +150,7 @@ def test_enumerate_renders_the_oracle_members(capsys):
         (["--family", "A", "--k", "3", "--n", "18"], {"family": "A", "k": 3, "n": 18},
          enumerate_family_a(3, 18)),
         (["--family", "K", "--n", "20"], {"family": "K", "n": 20},
-         enumerate_family_k(20, strategy="naive")),
+         enumerate_family_k(20)),
         (["--family", "mpq", "--p", "1", "--q", "2", "--n", "16"],
          {"family": "mpq", "p": 1, "q": 2, "n": 16},
          enumerate_ratio_family(1, 2, 16)),

@@ -17,6 +17,7 @@ from schreier.enumeration import (
     count_family_a,
     count_ratio_family,
     enumerate_family_k,
+    stream_family_a,
 )
 from schreier.errors import DomainError
 
@@ -32,9 +33,9 @@ def test_closed_count_frozen_values():
 def test_closed_count_matches_both_oracles():
     for k in range(1, 11):
         for n in range(1, 13):
-            want = count_family_a(k, n, "naive")
+            want = count_family_a(k, n)
             assert closed_count(k, n) == want
-            assert count_family_a(k, n, "by_min") == want
+            assert stream_family_a(k, n)[0] == want
 
 
 def test_closed_count_beyond_diagonal_is_fibonacci():
@@ -123,7 +124,7 @@ def test_family_k_case_counts_match_enumeration():
     for n in range(3, 13):
         want = family_k_case_counts(n)
         both = two_only = three_only = neither = 0
-        for E in enumerate_family_k(n + 1, strategy="naive"):
+        for E in enumerate_family_k(n + 1):
             has2, has3 = 2 in E, 3 in E
             if has2 and has3:
                 both += 1

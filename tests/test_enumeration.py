@@ -1,10 +1,10 @@
-"""Brute-force oracles: enumeration order, counting strategies, size caps."""
+"""Oracles and structured routes: enumeration order, counts, size caps."""
 
 import pytest
 
 from schreier import enumeration
 from schreier.closed_forms import ratio_recurrence
-from schreier.core import fib
+from schreier.core import binom, fib
 from schreier.enumeration import (
     count_family_a,
     count_family_a_grid,
@@ -52,11 +52,10 @@ def test_enumeration_is_in_canonical_order():
 def test_count_strategies_agree_with_enumeration():
     for k in range(1, 10):
         for n in range(1, 13):
-            naive = count_family_a(k, n, "naive")
-            by_min = count_family_a(k, n, "by_min")
+            naive = count_family_a(k, n)
             enum_naive = len(enumerate_family_a(k, n))
             count, members = stream_family_a(k, n)
-            assert naive == by_min == enum_naive == count == len(list(members))
+            assert naive == enum_naive == count == len(list(members))
 
 
 def test_structured_enumeration_matches_naive_sets():
@@ -66,49 +65,47 @@ def test_structured_enumeration_matches_naive_sets():
 
 
 def test_frozen_count_values():
-    assert count_family_a(5, 5, "by_min") == 10
-    assert count_family_a(7, 16, "naive") == 1995
-    assert count_family_a(4, 10, "by_min") == 116
-    assert count_family_a(1, 16, "by_min") == 1598
+    assert stream_family_a(5, 5)[0] == 10
+    assert count_family_a(7, 16) == 1995
+    assert stream_family_a(4, 10)[0] == 116
+    assert stream_family_a(1, 16)[0] == 1598
 
 
 def test_count_beyond_diagonal_is_fibonacci():
     for n in range(1, 13):
         for k in (n + 1, n + 2, n + 9):
-            assert count_family_a(k, n, "naive") == fib(n + 1)
-            assert count_family_a(k, n, "by_min") == fib(n + 1)
+            assert count_family_a(k, n) == fib(n + 1)
+            assert stream_family_a(k, n)[0] == fib(n + 1)
+
+
+# Family K's two routes: the naive oracle and the stream's members.
+K_ROUTES = (enumerate_family_k, lambda n: streamed(stream_family_k, n))
 
 
 def test_enumerate_family_k_small_levels():
-    for strategy in ("naive", "structured"):
-        assert canon(enumerate_family_k(2, strategy=strategy)) == ["{2}"]
-        assert canon(enumerate_family_k(3, strategy=strategy)) == ["{3}"]
-        assert canon(enumerate_family_k(4, strategy=strategy)) == ["{4}", "{2,3,4}"]
-        assert canon(enumerate_family_k(5, strategy=strategy)) == [
-            "{5}", "{2,3,5}", "{3,4,5}",
-        ]
+    for route in K_ROUTES:
+        assert canon(route(2)) == ["{2}"]
+        assert canon(route(3)) == ["{3}"]
+        assert canon(route(4)) == ["{4}", "{2,3,4}"]
+        assert canon(route(5)) == ["{5}", "{2,3,5}", "{3,4,5}"]
 
 
 def test_family_k_sizes_are_fibonacci():
-    for strategy in ("naive", "structured"):
-        assert [len(enumerate_family_k(n, strategy=strategy)) for n in range(2, 17)] == [
-            fib(n - 1) for n in range(2, 17)
-        ]
+    for route in K_ROUTES:
+        assert [len(route(n)) for n in range(2, 17)] == [fib(n - 1) for n in range(2, 17)]
 
 
 def test_family_k_members_have_pinned_max():
-    for strategy in ("naive", "structured"):
+    for route in K_ROUTES:
         for n in (6, 9, 12):
-            for E in enumerate_family_k(n, strategy=strategy):
+            for E in route(n):
                 assert E.max == n
                 assert len(E) != 2
 
 
 def test_structured_family_k_matches_naive():
     for n in range(2, 21):
-        assert enumerate_family_k(n, strategy="structured") == enumerate_family_k(
-            n, strategy="naive"
-        ), n
+        assert streamed(stream_family_k, n) == enumerate_family_k(n), n
 
 
 def test_ratio_family_frozen_values():
@@ -151,14 +148,17 @@ def test_structured_ratio_family_matches_naive():
 
 
 def test_stream_counts_match_the_recurrences():
-    # The parts each stream route counts against the cap add up to its
-    # family's size, far past the reach of any listing.
+    # The parts each pinned stream counts against the cap add up to its
+    # family's size, far past the reach of any listing or of the cap.
+    def part_sum(parts, n):
+        return sum(binom(n - lo, r) for _, r, lo in parts)
+
     for n in range(2, 301):
-        assert sum(enumeration._k_counts_by_size(n)) == fib(n - 1), n
+        assert part_sum(enumeration._k_parts(n), n) == fib(n - 1), n
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             for n in range(1, 201):
-                assert sum(enumeration._ratio_counts_by_size(p, q, n)) == ratio_recurrence(
+                assert part_sum(enumeration._ratio_parts(p, q, n), n) == ratio_recurrence(
                     p, q, n
                 ), (p, q, n)
     # Each stream's count is the number of members it yields, in EnumOrder.
@@ -193,8 +193,8 @@ def test_mask_scans_agree_with_set_predicates():
             assert grid[k - 1][n - 1] == len(want), (k, n)
         if n >= 2:
             want = [E for E in ordered if in_family_k(E, n)]
-            for strategy in ("naive", "structured"):
-                assert enumerate_family_k(n, strategy=strategy) == want, (strategy, n)
+            assert enumerate_family_k(n) == want, n
+            assert streamed(stream_family_k, n) == want, n
         for p in (1, 2, 3):
             for q in (1, 2, 3):
                 want = [
@@ -207,9 +207,7 @@ def test_mask_scans_agree_with_set_predicates():
 
 def test_size_caps():
     with pytest.raises(SizeLimitError):
-        count_family_a(1, 25, "naive")
-    with pytest.raises(SizeLimitError):
-        count_family_a(1, 65, "by_min")
+        count_family_a(1, 25)
     with pytest.raises(SizeLimitError):
         count_family_a_grid(1, 25)
     # The grid's k_max * |candidates| predicate tests count against the cap.
@@ -224,10 +222,10 @@ def test_size_caps():
         enumerate_family_a(1, 25)
     for n in (26, 10**12):
         with pytest.raises(SizeLimitError):
-            enumerate_family_k(n, strategy="naive")
+            enumerate_family_k(n)
     for n in (38, 10**12):
         with pytest.raises(SizeLimitError):
-            enumerate_family_k(n, strategy="structured")
+            stream_family_k(n)
     with pytest.raises(SizeLimitError):
         count_ratio_family(1, 1, 26)
     with pytest.raises(SizeLimitError):
@@ -237,7 +235,7 @@ def test_size_caps():
             stream_ratio_family(1, 1, n)
 
 
-def test_oracle_cap_is_the_one_size_bound(monkeypatch):
+def test_oracle_cap_is_the_one_size_bound():
     assert oracle_cap() == 2**24
     require_scan_within_cap(24, "scan")  # exactly 2**24 candidate sets
     with pytest.raises(SizeLimitError):
@@ -249,10 +247,9 @@ def test_oracle_cap_is_the_one_size_bound(monkeypatch):
         stream_family_a(35, 35)
     # Structured K and mpq count their members: K(37) = F(36) = 14,930,352
     # and mpq(1, 1, 36) = F(36) pass, F(37) = 24,157,817 does not.
-    monkeypatch.setattr(enumeration, "_iter_k_structured", lambda n: iter(()))
-    assert enumerate_family_k(37, strategy="structured") == []
+    assert stream_family_k(37)[0] == fib(36)
     with pytest.raises(SizeLimitError):
-        enumerate_family_k(38, strategy="structured")
+        stream_family_k(38)
     assert stream_ratio_family(1, 1, 36)[0] == fib(36)
     with pytest.raises(SizeLimitError):
         stream_ratio_family(1, 1, 37)
@@ -263,8 +260,6 @@ def test_domain_errors():
         count_family_a(0, 5)
     with pytest.raises(DomainError):
         count_family_a(1, 0)
-    with pytest.raises(DomainError):
-        count_family_a(1, 5, "magic")
     for k_max, n_max in ((0, 5), (5, 0)):
         with pytest.raises(DomainError):
             count_family_a_grid(k_max, n_max)
@@ -273,10 +268,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         enumerate_family_a(1, 0)
     with pytest.raises(DomainError):
-        enumerate_family_k(5, strategy="magic")
-    for strategy in ("naive", "structured"):
-        with pytest.raises(DomainError):
-            enumerate_family_k(1, strategy=strategy)
+        enumerate_family_k(1)
     with pytest.raises(DomainError):
         count_ratio_family(0, 1, 5)
     with pytest.raises(DomainError):

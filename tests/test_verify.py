@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import schreier.core as core
-from schreier import enumeration
+from schreier import enumeration, verify
 from schreier.errors import DomainError
 from schreier.verify import DEFAULT_SEED, Report, SUITE_ORDER, SUITES, run_suite
 
@@ -119,13 +119,13 @@ def test_thm1_4_scans_each_pinned_level_at_most_four_times(monkeypatch):
     # structured route builds every level the checks read exactly once.
     scans = _record_scans(monkeypatch)
     built = []
-    structured = enumeration._iter_k_structured
+    stream = verify.stream_family_k
 
     def recording(n):
         built.append(n)
-        return structured(n)
+        return stream(n)
 
-    monkeypatch.setattr(enumeration, "_iter_k_structured", recording)
+    monkeypatch.setattr(verify, "stream_family_k", recording)
     assert all(r.passed for r in run_suite("thm1_4"))
     per_level = Counter(n + 1 for n, what in scans if what == "enumerate_family_k")
     assert len(scans) == sum(per_level.values())
