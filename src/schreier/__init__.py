@@ -14,6 +14,7 @@ from .closed_forms import (
     CaseCounts,
     band_count,
     closed_count,
+    closed_table,
     diagonal_count,
     diagonal_double_sum,
     family_k_case_counts,
@@ -76,6 +77,7 @@ __all__ = [
     "binom",
     "classify",
     "closed_count",
+    "closed_table",
     "column_shift",
     "count_family_a",
     "count_family_a_grid",

@@ -1,7 +1,8 @@
 """Command line interface: tables, enumerations, verification, sequences.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
-exceeded a brute-force size cap.  A reader that closes stdout early (say,
+exceeded a size cap (candidate sets for a brute-force route, bits of values
+for a table or sequence).  A reader that closes stdout early (say,
 ``| head``) changes no exit code: the command stops writing, ``enumerate``
 exits 0, and ``verify`` still exits 1 on a counterexample.
 
@@ -20,7 +21,7 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from .closed_forms import (
-    closed_count,
+    closed_table,
     diagonal_count,
     family_k_count,
     recurrence_table,
@@ -28,6 +29,7 @@ from .closed_forms import (
 from .core import fib
 from .enumeration import (
     count_family_a_grid,
+    require_bits_within_cap,
     require_within_cap,
     stream_family_a,
     stream_family_k,
@@ -144,10 +146,7 @@ def _table_grid(k_max: int, n_max: int, source: str) -> list[list[int]]:
     if k_max < 1 or n_max < 1:
         raise DomainError(f"table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}")
     if source == "closed":
-        return [
-            [closed_count(k, n) for n in range(1, n_max + 1)]
-            for k in range(1, k_max + 1)
-        ]
+        return closed_table(k_max, n_max)
     if source == "recurrence":
         return recurrence_table(k_max, n_max)
     # Counted as if each cell ran its own 2**n scan, k_max * (2**(n_max+1) - 2)
@@ -168,23 +167,13 @@ def _render_table(grid: list[list[int]], k_max: int, n_max: int, source: str, fm
     if fmt == "json":
         payload = {"k_max": k_max, "n_max": n_max, "source": source, "cells": grid}
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    widths = [
-        max(len(str(n)), max(len(str(grid[k][n - 1])) for k in range(k_max)))
-        for n in range(1, n_max + 1)
-    ]
-    head_w = max(len("k\\n"), len(str(k_max)))
-    lines = [
-        "k\\n".rjust(head_w)
-        + "  "
-        + "  ".join(str(n).rjust(w) for n, w in zip(range(1, n_max + 1), widths))
-    ]
-    for k, row in enumerate(grid, start=1):
-        lines.append(
-            str(k).rjust(head_w)
-            + "  "
-            + "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
-        )
-    return "\n".join(lines) + "\n"
+    # Row 0 is the header; column 0 holds k.
+    cells = [["k\\n", *map(str, range(1, n_max + 1))]]
+    cells += ([str(k), *map(str, row)] for k, row in enumerate(grid, start=1))
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells
+    )
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -275,6 +264,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sequence_values(name: str, n_max: int) -> tuple[int, list[int]]:
+    # The term at index n is at most 2^n: a(n, n) <= 2^n, F(n) < 2^n.
+    require_bits_within_cap(max(n_max, 0) * (n_max + 1) // 2, f"sequence {name}: n-max {n_max}")
     if name == "a-diag":
         if n_max < 1:
             raise DomainError(f"sequence a-diag: n-max must be >= 1, got {n_max}")

@@ -9,6 +9,12 @@ set included).  Writing l = n - k, the closed form splits into three cases:
                             + sum_{j=1..l} C(j, l - j + k)
 * k >= 2, -k < l < 0:   a = F(k + l + 1)   (that is, F(n + 1))
 
+``closed_count`` evaluates one cell, with math.comb for the binomials;
+``closed_table`` evaluates a whole (k, n) grid, with the binomials read from
+one Pascal triangle built by addition.  Both feed the same private cell
+function, the one definition of the three cases and sums, and a table cell
+never reads another, so the grid stays independent of ``recurrence_table``.
+
 Specializations checked against each other and against the brute-force
 oracles by the verification suites: the diagonal a(n, n) = 2 F(n), also
 expressible as the literal double sum 2 + 2 sum_{k=1..n-1} sum_{j=0..k-2}
@@ -28,10 +34,15 @@ m(0) = 0 (no set has maximum 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import add, getitem, mul
+from typing import Callable, Iterable
 
 from .core import binom, fib
-from .enumeration import count_ratio_family
+from .enumeration import count_ratio_family, require_bits_within_cap
 from .errors import DomainError
 
 
@@ -56,23 +67,77 @@ class CaseCounts:
         )
 
 
+def _closed_cell(
+    k: int, n: int, binoms: Callable[[Iterable[int], Iterable[int]], Iterable[int]],
+    fibs: Callable[[int], int],
+) -> int:
+    """a(k, n) by the closed form, for k, n >= 1: the one definition of its
+    three cases and three sums, read term by term from ``binoms(ms, cs)``,
+    which yields C(m, c) for each pair of its two iterables, and from
+    ``fibs(i)`` == F(i)."""
+    l = n - k
+    if l < 0:
+        return fibs(n + 1)
+    if k == 1:
+        return fibs(l + 2) + 1
+    # Each sum runs over its nonzero terms only: C(l, i) = 0 for i > l, and
+    # C(j, l - j + k) = 0 for j < (l + k) / 2.
+    top = min(k - 1, l + 1)
+    total = 2 * sum(map(mul, binoms(repeat(l, top), range(top)), map(fibs, range(k, k - top, -1))))
+    if k - 1 <= l:
+        total += 2 * sum(binoms((l,), (k - 1,)))
+    lo = (l + k + 1) // 2
+    return total + sum(binoms(range(lo, l + 1), range(l + k - lo, k - 1, -1)))
+
+
+_comb_terms = partial(map, math.comb)  # C(m, c) == 0 for c > m
+
+
+def _grid_bits(k_max: int, n_max: int) -> int:
+    """Bits of a k_max x n_max count grid, bounded by a(k, n) <= 2^n."""
+    return k_max * n_max * (n_max + 1) // 2
+
+
 def closed_count(k: int, n: int) -> int:
     """Exact size of the bounded weight-k family over {1..n}."""
     if k < 1:
         raise DomainError(f"closed_count: k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"closed_count: n must be >= 1, got {n}")
-    l = n - k
-    if l < 0:
-        return fib(n + 1)
-    if k == 1:
-        return fib(l + 2) + 1
-    # Each sum runs over its nonzero terms only: C(l, i) = 0 for i > l, and
-    # C(j, l - j + k) = 0 for j < (l + k) / 2.
-    total = 2 * sum(binom(l, i) * fib(k - i) for i in range(0, min(k - 1, l + 1)))
-    total += 2 * binom(l, k - 1)
-    total += sum(binom(j, l - j + k) for j in range((l + k + 1) // 2, l + 1))
-    return total
+    return _closed_cell(k, n, _comb_terms, fib)
+
+
+def closed_table(k_max: int, n_max: int) -> list[list[int]]:
+    """The (k, n) count grid for 1 <= k <= k_max, 1 <= n <= n_max by the
+    closed form, laid out as ``recurrence_table``'s: grid[k-1][n-1] == a(k, n).
+
+    Every cell evaluates the same cases and sums as ``closed_count``, with
+    its binomials read from one Pascal triangle built by addition (rows
+    0..n_max-2: a cell with k >= 2 reaches l <= n_max - 2) and its Fibonacci
+    numbers from one prefix F(0..n_max+1); no cell reads another cell.
+    """
+    if k_max < 1 or n_max < 1:
+        raise DomainError(
+            f"closed_table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
+        )
+    rows = n_max - 1 if k_max > 1 else 0
+    # The triangle's row m holds m + 1 values below 2^m.
+    require_bits_within_cap(
+        _grid_bits(k_max, n_max) + (rows - 1) * rows * (rows + 1) // 3,
+        f"closed_table: {k_max} x {n_max} grid",
+    )
+    triangle = [[1]]
+    for _ in range(rows - 1):
+        triangle.append([1, *map(add, triangle[-1], triangle[-1][1:]), 1])
+
+    def binoms(ms, cs):
+        return map(getitem, map(triangle.__getitem__, ms), cs)
+
+    fibs = list(map(fib, range(n_max + 2))).__getitem__
+    return [
+        [_closed_cell(k, n, binoms, fibs) for n in range(1, n_max + 1)]
+        for k in range(1, k_max + 1)
+    ]
 
 
 def diagonal_count(n: int) -> int:
@@ -139,6 +204,7 @@ def recurrence_table(k_max: int, n_max: int) -> list[list[int]]:
         raise DomainError(
             f"recurrence_table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
         )
+    require_bits_within_cap(_grid_bits(k_max, n_max), f"recurrence_table: {k_max} x {n_max} grid")
     grid: list[list[int]] = []
     for k in range(1, k_max + 1):
         row: list[int] = []

@@ -39,6 +39,12 @@ routes count their members: each a(k, n) is at least F(n+1), so every
 n >= 36 is refused for A; K(n) = F(n-1), so n <= 37 passes; and
 mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are
 streamed, the cap bounds time, not memory.
+
+The formula routes (count tables and sequences) have one cap of their own:
+a value at index n is below 2**n (a(k, n) <= 2**n, F(n) < 2**n, a binomial
+in row n at most 2**n), so a request's integers add up to at most the sum
+of their indices in bits, known before the first term.  It is refused past
+``MAX_VALUE_BITS`` = 2**28, about 32 MiB of integers.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
 
 MAX_CANDIDATES = 1 << 24
+MAX_VALUE_BITS = 1 << 28
 
 
 def oracle_cap() -> int:
@@ -70,6 +77,15 @@ def require_within_cap(parts: Iterable[int], what: str) -> int:
                 f"{what}: more than {MAX_CANDIDATES} (2^24) candidate sets, the size cap"
             )
     return total
+
+
+def require_bits_within_cap(bits: int, what: str) -> None:
+    """Refuse a formula request whose integers, bounded by their indices
+    before any is computed, may hold more than MAX_VALUE_BITS bits."""
+    if bits > MAX_VALUE_BITS:
+        raise SizeLimitError(
+            f"{what}: more than {MAX_VALUE_BITS} (2^28) bits of values, the size cap"
+        )
 
 
 def require_scan_within_cap(n: int, what: str) -> None:

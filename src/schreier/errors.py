@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Two failure modes are distinguished because the command line maps them to
-different exit codes: bad arguments (exit 2) and oversized oracle requests
-(exit 3).
+different exit codes: bad arguments (exit 2) and oversized requests (exit 3).
 """
 
 from __future__ import annotations
@@ -13,4 +12,5 @@ class DomainError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """A brute-force request exceeds the configured search-space cap."""
+    """A request exceeds a size cap: candidate sets for a brute-force route,
+    bits of values for a table or sequence."""

@@ -22,6 +22,7 @@ from .bijections import verify_partition
 from .closed_forms import (
     band_count,
     closed_count,
+    closed_table,
     diagonal_count,
     diagonal_double_sum,
     family_k_case_counts,
@@ -134,12 +135,14 @@ def suite_thm1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     k_top = k_max if k_max is not None else 12
 
     def cases():
+        # closed_table is the route `table` serves; each cell is also checked.
         grid = count_family_a_grid(k_top, n_top)
+        served = closed_table(k_top, n_top)
         for k in range(1, k_top + 1):
             for n in range(1, n_top + 1):
                 want = grid[k - 1][n - 1]
-                got = (closed_count(k, n), stream_family_a(k, n)[0])
-                yield (f"k={k} n={n}", got, (want, want))
+                got = (closed_count(k, n), served[k - 1][n - 1], stream_family_a(k, n)[0])
+                yield (f"k={k} n={n}", got, (want, want, want))
 
     expansion = _run_checks(
         "worked-expansion-(4,10)",

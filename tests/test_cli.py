@@ -71,6 +71,17 @@ def test_table_json_layout(capsys):
     assert out.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_closed_table_equals_recurrence_table(capsys, fmt):
+    def table(source):
+        argv = ["table", "--k-max", "40", "--n-max", "45", "--source", source, "--format", fmt]
+        code, out, err = main_out(capsys, argv)
+        assert (code, err) == (0, ""), source
+        return json.loads(out)["cells"] if fmt == "json" else out
+
+    assert table("closed") == table("recurrence")
+
+
 def test_table_text_single_cell(capsys):
     code, out, _ = main_out(
         capsys,
@@ -272,6 +283,18 @@ def test_sequence_json(capsys):
     assert out == '{"name":"fib","start":0,"values":[0,1,1,2]}\n'
 
 
+def test_the_value_cap_admits_the_largest_benchmark_requests(capsys):
+    for argv in (
+        ["table", "--k-max", "260", "--n-max", "260", "--source", "closed", "--format", "csv"],
+        ["table", "--k-max", "260", "--n-max", "260", "--source", "recurrence", "--format", "csv"],
+        ["sequence", "--name", "a-diag", "--n-max", "12000", "--format", "json"],
+    ):
+        code, _, err = main_out(capsys, argv)
+        assert (code, err) == (0, ""), argv
+    # F(21000) has more than 4,300 digits, so only the values are built here.
+    assert len(cli._sequence_values("fib", 21000)[1]) == 21001
+
+
 # -- verify --------------------------------------------------------------
 
 
@@ -378,6 +401,10 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
         ["verify", "--suite", "thm1_1", "--n-max", "24"],
         ["verify", "--suite", "rec3_1", "--n-max", "25", "--k-max", "3"],
         ["verify", "--suite", "mpq", "--n-max", "26"],
+        # The formula routes are bounded by the bits of the values they hold.
+        ["table", "--source", "recurrence", "--k-max", "100000", "--n-max", "100000"],
+        ["table", "--source", "closed", "--k-max", "2", "--n-max", "1000000"],
+        ["sequence", "--name", "k-count", "--n-max", "100000000"],
     ):
         start = time.perf_counter()
         code, out, err = main_out(capsys, argv)

@@ -2,9 +2,12 @@
 
 import pytest
 
+import time
+
 from schreier.closed_forms import (
     band_count,
     closed_count,
+    closed_table,
     diagonal_count,
     diagonal_double_sum,
     family_k_case_counts,
@@ -15,11 +18,12 @@ from schreier.closed_forms import (
 from schreier.core import fib
 from schreier.enumeration import (
     count_family_a,
+    count_family_a_grid,
     count_ratio_family,
     enumerate_family_k,
     stream_family_a,
 )
-from schreier.errors import DomainError
+from schreier.errors import DomainError, SizeLimitError
 
 
 def test_closed_count_frozen_values():
@@ -91,6 +95,45 @@ def test_recurrence_table_seeded_and_interior_cells():
         recurrence_table(0, 5)
     with pytest.raises(DomainError):
         recurrence_table(5, 0)
+
+
+@pytest.mark.parametrize(
+    "k_max, n_max", [(1, 1), (1, 300), (300, 1), (3, 300), (300, 3), (60, 60)]
+)
+def test_closed_table_equals_closed_count_cell_by_cell(k_max, n_max):
+    grid = closed_table(k_max, n_max)
+    assert [len(row) for row in grid] == [n_max] * k_max
+    for k, row in enumerate(grid, start=1):
+        for n, value in enumerate(row, start=1):
+            assert value == closed_count(k, n), (k, n)
+
+
+def test_closed_table_matches_recurrence_and_oracle_grid():
+    grid = closed_table(12, 20)
+    assert grid == recurrence_table(12, 20)
+    assert grid == count_family_a_grid(12, 20)
+
+
+def test_closed_table_domain():
+    for k_max, n_max in ((0, 5), (5, 0), (-1, 3)):
+        with pytest.raises(DomainError):
+            closed_table(k_max, n_max)
+
+
+def test_count_grids_are_refused_by_size_before_any_cell():
+    # Each cell at column n is below 2^n, and closed_table also holds the
+    # Pascal triangle's rows 0..n_max-2, so both are bounded up front.
+    for build, k_max, n_max in (
+        (recurrence_table, 100_000, 100_000),
+        (closed_table, 2, 1_000_000),
+        (closed_table, 2, 10_000),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            build(k_max, n_max)
+        assert time.perf_counter() - start < 1, (build, k_max, n_max)
+    # A single row needs no triangle: it is bounded like the recurrence grid.
+    assert closed_table(1, 2_000)[0][-1] == fib(2_001) + 1
 
 
 def test_family_k_count_values():
