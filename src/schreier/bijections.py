@@ -14,25 +14,42 @@ each realized as a pair of maps whose images partition the next level:
   ``two_level_step`` lifts level n-1 two levels via a four-way case split
   on the minimum element.
 
-``verify_partition`` never trusts those descriptions: it re-derives every
-domain and codomain from the brute-force enumeration oracles (the naive mask
-scans ``enumerate_family_a`` and ``enumerate_family_k``, never the
-structured routes), applies the maps, and reports four independent flags
-(well-definedness, injectivity, disjointness of the two images, exact cover
-of the codomain).  All four flags true is precisely the claimed partition.
-Domain errors raised by a map surface as well-definedness failures, never as
-silent skips, and the first violation is chosen deterministically in
-enumeration order.
+Each map is written once, as a bit operation on masks (bit i-1 stands for
+element i, as in ``enumeration``): ``diag_shift`` is ``(m << 1) | 1 << n``,
+``diag_swap`` moves bit n-1 to bit n in maximal sets, ``column_shift`` is
+``(m << 1) | 1 << (n-1)``, ``shift_by_one`` is ``m << 1``, and
+``two_level_step`` has its four cases.  The public maps on ``FiniteSet``
+check their domain, then apply the mask map.
+
+``partition_reports`` never trusts those descriptions.  For every level of
+a range it re-derives each domain and codomain from one brute-force scan,
+never the structured routes: family A's candidates over the largest
+universe, of which those of {1..n} are the prefix below 2**n, or each
+pinned level once.  It applies the mask maps and tests four independent
+flags (well-definedness, injectivity, disjointness of the two images, exact
+cover of the codomain) as set operations.  All four flags true is precisely
+the claimed partition.  Only when one fails are the levels built as
+FiniteSets, for ``_check_partition`` to set the flags and pick the first
+violation deterministically in enumeration order; domain errors raised by
+a map surface there as well-definedness failures, never as silent skips.
+``verify_partition`` is the one-level case.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .enumeration import enumerate_family_a, enumerate_family_k, require_scan_within_cap
+from .enumeration import (
+    _a_candidate_masks,
+    _a_member_masks,
+    _k_member_masks,
+    _members_in_order,
+    require_scan_within_cap,
+)
 from .errors import DomainError
-from .finite_sets import FiniteSet, SchreierClass, classify, in_family_a, in_family_k
+from .finite_sets import FiniteSet, in_family_a, in_family_k
 
 PARTITION_KINDS = ("thm1_1", "rec3_1", "thm1_4")
 
@@ -59,7 +76,55 @@ class BijectionReport:
         return self.well_defined and self.injective and self.surjective and self.disjoint
 
 
-# -- the maps ----------------------------------------------------------------
+# -- the maps on masks -------------------------------------------------------
+
+
+def _diag_shift_mask(m: int, n: int) -> int:
+    """Translate up by one and append n + 1."""
+    return (m << 1) | 1 << n
+
+
+def _diag_swap_mask(m: int, n: int) -> int:
+    """Fix the empty set and nonmaximal sets; replace the top n by n + 1 in
+    the others."""
+    if m == 0 or (m & -m).bit_length() > m.bit_count():
+        return m
+    return m ^ 1 << (n - 1) | 1 << n
+
+
+def _column_shift_mask(m: int, n: int) -> int:
+    """Translate up by one and append n."""
+    return (m << 1) | 1 << (n - 1)
+
+
+def _shift_by_one_mask(m: int) -> int:
+    """Translate up by one."""
+    return m << 1
+
+
+def _two_level_step_mask(m: int, n: int) -> int:
+    """Lift level n - 1 of the pinned family to level n + 1, case by case."""
+    top = 1 << n
+    if m.bit_count() == 1:
+        return 0b110 | top  # {n-1} -> {2, 3, n+1}
+    low = m & -m
+    if low == 0b10:
+        return 0b10100 | top  # min 2 -> {3, 5, n+1}
+    if low == 0b100:
+        return (m ^ 0b100) << 2 | 0b100  # min 3: drop 3, translate by two, put 3 back
+    # min >= 4: translate by two and adjoin |F| + 2
+    return m << 2 | 1 << (m.bit_count() + 1)
+
+
+def _mask_of(F: FiniteSet) -> int:
+    return sum(1 << (x - 1) for x in F)
+
+
+def _set_of(m: int) -> FiniteSet:
+    return FiniteSet(tuple(i for i in range(1, m.bit_length() + 1) if m >> (i - 1) & 1))
+
+
+# -- the maps on sets --------------------------------------------------------
 
 
 def diag_shift(F: FiniteSet, n: int) -> FiniteSet:
@@ -69,7 +134,7 @@ def diag_shift(F: FiniteSet, n: int) -> FiniteSet:
         raise DomainError(f"diag_shift: n must be >= 2, got {n}")
     if not in_family_a(F, n - 1, n - 1):
         raise DomainError(f"diag_shift: {F} not in the (n-1)-diagonal family, n={n}")
-    return F.shift(1).with_element(n + 1)
+    return _set_of(_diag_shift_mask(_mask_of(F), n))
 
 
 def diag_swap(F: FiniteSet, n: int) -> FiniteSet:
@@ -79,9 +144,7 @@ def diag_swap(F: FiniteSet, n: int) -> FiniteSet:
         raise DomainError(f"diag_swap: n must be >= 2, got {n}")
     if not in_family_a(F, n, n):
         raise DomainError(f"diag_swap: {F} not in the n-diagonal family, n={n}")
-    if classify(F) in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL):
-        return F
-    return F.without_element(n).with_element(n + 1)
+    return _set_of(_diag_swap_mask(_mask_of(F), n))
 
 
 def column_shift(F: FiniteSet, k: int, n: int) -> FiniteSet:
@@ -94,14 +157,14 @@ def column_shift(F: FiniteSet, k: int, n: int) -> FiniteSet:
         raise DomainError(f"column_shift: need n > max(k, 2), got k={k}, n={n}")
     if not in_family_a(F, k - 1, n - 2):
         raise DomainError(f"column_shift: {F} not in family (k={k - 1}, n={n - 2})")
-    return F.shift(1).with_element(n)
+    return _set_of(_column_shift_mask(_mask_of(F), n))
 
 
 def shift_by_one(F: FiniteSet) -> FiniteSet:
     """Translate a nonempty set up by one."""
     if F.is_empty():
         raise DomainError("shift_by_one: empty set has no pinned maximum")
-    return F.shift(1)
+    return _set_of(_shift_by_one_mask(_mask_of(F)))
 
 
 def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
@@ -116,13 +179,7 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
         raise DomainError(f"two_level_step: n must be >= 3, got {n}")
     if not in_family_k(F, n - 1):
         raise DomainError(f"two_level_step: {F} not in the pinned family at {n - 1}")
-    if len(F) == 1:
-        return FiniteSet.of(2, 3, n + 1)
-    if F.min == 2:
-        return FiniteSet.of(3, 5, n + 1)
-    if F.min == 3:
-        return F.without_element(3).shift(2).with_element(3)
-    return F.shift(2).with_element(len(F) + 2)
+    return _set_of(_two_level_step_mask(_mask_of(F), n))
 
 
 # -- partition verification ---------------------------------------------------
@@ -205,6 +262,152 @@ def _check_partition(
     )
 
 
+def _check_masks(
+    map_name: str,
+    n: int,
+    k: Optional[int],
+    part1: tuple[list[int], Callable[[int], int]],
+    part2: tuple[list[int], Callable[[int], int]],
+    codomain: list[int],
+) -> BijectionReport:
+    """Check one partition on masks.  The images are sets of masks, and the
+    partition holds when each has as many members as its domain, both lie
+    in the codomain, they are disjoint and together as large as it.  Only
+    when it does not hold are the levels built as FiniteSets in EnumOrder,
+    for ``_check_partition`` to set the flags and find the first violation.
+    """
+    (dom1, fn1), (dom2, fn2) = part1, part2
+    try:
+        images1, images2 = set(map(fn1, dom1)), set(map(fn2, dom2))
+    except DomainError:
+        holds = False
+    else:
+        targets = set(codomain)
+        holds = (
+            len(images1) == len(dom1)
+            and len(images2) == len(dom2)
+            and images1 <= targets
+            and images2 <= targets
+            and images1.isdisjoint(images2)
+            and len(images1) + len(images2) == len(targets)
+        )
+    if holds:
+        return BijectionReport(map_name, n, k, True, True, True, True)
+
+    def lift(fn: Callable[[int], int]) -> Callable[[FiniteSet], FiniteSet]:
+        return lambda F: _set_of(fn(_mask_of(F)))
+
+    return _check_partition(
+        map_name,
+        n,
+        k,
+        (_members_in_order(dom1), lift(fn1)),
+        (_members_in_order(dom2), lift(fn2)),
+        _members_in_order(codomain),
+    )
+
+
+def _require_partition_cap(kind: str, n: int, what: str) -> None:
+    """The largest level a check at n reads, {1..n+1} or the pinned level
+    n + 1, has 2**(n+1) subsets for thm1_1 and 2**n for the others."""
+    require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"{what}: {kind}")
+
+
+def _check_levels(
+    kind: str, levels: list[tuple[int, Optional[int]]]
+) -> list[BijectionReport]:
+    """Check the partition at each (n, k) in levels, reading every domain and
+    codomain from one naive scan: family A's candidates over the largest
+    universe, or each pinned level once."""
+    what = f"partitions {kind}"
+
+    if kind == "thm1_4":
+        pinned: dict[int, list[int]] = {}
+
+        def level(n: int) -> list[int]:
+            if n not in pinned:
+                pinned[n] = _k_member_masks(n, what)
+            return pinned[n]
+
+        return [
+            _check_masks(
+                "shift_by_one+two_level_step",
+                n,
+                None,
+                (level(n), _shift_by_one_mask),
+                (level(n - 1), lambda m: _two_level_step_mask(m, n)),
+                level(n + 1),
+            )
+            for n, _ in levels
+        ]
+
+    # The candidates of {1..n} are those below 2**n, a prefix of the scan;
+    # the members of A(k, n) are a prefix of the members for each k.
+    top = max(n for n, _ in levels)
+    candidates = _a_candidate_masks(top + 1 if kind == "thm1_1" else top, what)
+    rows: dict[int, list[int]] = {}
+
+    def family(k: int, n: int) -> list[int]:
+        if k not in rows:
+            rows[k] = _a_member_masks(k, candidates)
+        return rows[k][: bisect_left(rows[k], 1 << n)]
+
+    if kind == "thm1_1":
+        return [
+            _check_masks(
+                "diag_shift+diag_swap",
+                n,
+                None,
+                (family(n - 1, n - 1), lambda m: _diag_shift_mask(m, n)),
+                (family(n, n), lambda m: _diag_swap_mask(m, n)),
+                family(n + 1, n + 1),
+            )
+            for n, _ in levels
+        ]
+    return [
+        _check_masks(
+            "embed+column_shift",
+            n,
+            k,
+            (family(k, n - 1), lambda m: m),
+            (family(k - 1, n - 2), lambda m: _column_shift_mask(m, n)),
+            family(k, n),
+        )
+        for n, k in levels
+    ]
+
+
+def partition_reports(
+    kind: str, n_top: int, k_top: Optional[int] = None
+) -> list[BijectionReport]:
+    """Check one partition construction at every level of a range, in order:
+    thm1_1 at n = 2..n_top, rec3_1 at k = 2..k_top and, for each k,
+    n = max(k, 2) + 1..n_top, thm1_4 at n = 3..n_top.
+
+    Every level reads one naive scan: {1..n_top+1} for thm1_1, {1..n_top}
+    for rec3_1, and each pinned level 2..n_top+1 once for thm1_4.  An empty
+    range gives no report; the size cap is that of ``verify_partition`` at
+    n_top, checked before any scan.
+    """
+    if kind not in PARTITION_KINDS:
+        raise DomainError(f"partition_reports: unknown kind {kind!r}")
+    if kind == "rec3_1":
+        if k_top is None:
+            raise DomainError("partition_reports: rec3_1 needs k_top")
+        ks = range(2, min(k_top, n_top - 1) + 1)  # a level n > k needs k < n_top
+    elif k_top is not None:
+        raise DomainError(f"partition_reports: {kind} takes no k_top")
+    least = 2 if kind == "thm1_1" else 3
+    if n_top < least or (kind == "rec3_1" and not ks):
+        return []
+    _require_partition_cap(kind, n_top, "partition_reports")
+    if kind == "rec3_1":
+        levels = [(n, k) for k in ks for n in range(max(k, 2) + 1, n_top + 1)]
+    else:
+        levels = [(n, None) for n in range(least, n_top + 1)]
+    return _check_levels(kind, levels)
+
+
 def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionReport:
     """Check one of the three partition constructions at level n.
 
@@ -215,24 +418,11 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
     ``two_level_step`` from level n - 1 partition the pinned family at
     level n + 1 (3 <= n <= 24).  The upper ends are the size cap on the
     largest level's scan, which is checked before any domain is scanned.
+    This is the one-level case of ``partition_reports``.
     """
     if kind not in PARTITION_KINDS:
         raise DomainError(f"verify_partition: unknown kind {kind!r}")
-    require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"verify_partition: {kind}")
-
-    if kind == "thm1_1":
-        if k is not None:
-            raise DomainError("verify_partition: thm1_1 takes no k")
-        if n < 2:
-            raise DomainError(f"verify_partition: thm1_1 needs n >= 2, got {n}")
-        return _check_partition(
-            "diag_shift+diag_swap",
-            n,
-            None,
-            (enumerate_family_a(n - 1, n - 1), lambda F: diag_shift(F, n)),
-            (enumerate_family_a(n, n), lambda F: diag_swap(F, n)),
-            enumerate_family_a(n + 1, n + 1),
-        )
+    _require_partition_cap(kind, n, "verify_partition")
 
     if kind == "rec3_1":
         if k is None:
@@ -241,24 +431,10 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
             raise DomainError(
                 f"verify_partition: rec3_1 needs k >= 2 and n > max(k, 2), got k={k}, n={n}"
             )
-        return _check_partition(
-            "embed+column_shift",
-            n,
-            k,
-            (enumerate_family_a(k, n - 1), lambda F: F),
-            (enumerate_family_a(k - 1, n - 2), lambda F: column_shift(F, k, n)),
-            enumerate_family_a(k, n),
-        )
-
-    if k is not None:
-        raise DomainError("verify_partition: thm1_4 takes no k")
-    if n < 3:
-        raise DomainError(f"verify_partition: thm1_4 needs n >= 3, got {n}")
-    return _check_partition(
-        "shift_by_one+two_level_step",
-        n,
-        None,
-        (enumerate_family_k(n), shift_by_one),
-        (enumerate_family_k(n - 1), lambda F: two_level_step(F, n)),
-        enumerate_family_k(n + 1),
-    )
+    else:
+        if k is not None:
+            raise DomainError(f"verify_partition: {kind} takes no k")
+        least = 2 if kind == "thm1_1" else 3
+        if n < least:
+            raise DomainError(f"verify_partition: {kind} needs n >= {least}, got {n}")
+    return _check_levels(kind, [(n, k)])[0]

@@ -8,8 +8,10 @@ ground truth for the closed forms and for the structured route.  Family A's
 one scan keeps the candidates, the sets with min >= size, which hold every
 member for every k; the one member predicate then runs over them, so
 ``count_family_a``, ``enumerate_family_a`` and the whole (k, n) grid of
-``count_family_a_grid`` all read one scan of {1..n}.  ``enumerate_family_k``,
-``count_ratio_family`` and ``enumerate_ratio_family`` scan one pinned level.
+``count_family_a_grid`` all read one scan of {1..n}.  ``enumerate_family_k``
+and ``enumerate_ratio_family`` scan one pinned level; ``ratio_tally`` scans
+one and counts its subsets by (min, size), so ``count_ratio_family`` and
+every other (p, q) read their counts off that one tally.
 
 The structured route, ``stream_family_a``, ``stream_family_k`` and
 ``stream_ratio_family``, counts the members part by part without building
@@ -50,6 +52,7 @@ of their indices in bits, known before the first term.  It is refused past
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from .core import binom
@@ -295,22 +298,25 @@ def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
     return _stream_pinned(n, lambda: _k_parts(n), f"stream_family_k: members of K({n})")
 
 
+def _k_member_masks(n: int, what: str) -> list[int]:
+    """Scan the 2**(n-1) subsets of {1..n} with maximum n and keep, in
+    ascending order, those of size != 2 whose min exceeds the weight that
+    zero-rates 2 and 3."""
+    require_scan_within_cap(n - 1, what)
+    return [
+        m
+        for m in range(1 << (n - 1), 1 << n)
+        if m.bit_count() != 2
+        and (m & -m).bit_length() > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
+    ]
+
+
 def enumerate_family_k(n: int) -> list[FiniteSet]:
     """Return every member of the pinned family at level n, in EnumOrder, by
-    scanning the 2**(n-1) subsets of {1..n} with maximum n and keeping those
-    of size != 2 whose min exceeds the weight that zero-rates 2 and 3 (the
-    oracle for ``stream_family_k``)."""
+    scanning the 2**(n-1) subsets of {1..n} with maximum n (the oracle for
+    ``stream_family_k``)."""
     _require_k_domain(n, "enumerate_family_k")
-    require_scan_within_cap(n - 1, "enumerate_family_k")
-    return _members_in_order(
-        [
-            m
-            for m in range(1 << (n - 1), 1 << n)
-            if m.bit_count() != 2
-            and (m & -m).bit_length()
-            > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
-        ]
-    )
+    return _members_in_order(_k_member_masks(n, "enumerate_family_k"))
 
 
 # -- ratio family: q * min >= p * size, pinned max --------------------------
@@ -348,9 +354,37 @@ def _ratio_parts(p: int, q: int, n: int) -> Iterator[_Part]:
         s += 1
 
 
+def ratio_tally(n: int) -> dict[tuple[int, int], int]:
+    """Scan the 2**(n-1) subsets of {1..n} with maximum n and count them by
+    (min, size), the two numbers every ratio family tests.
+
+    The subsets with min lo are the masks of the level congruent to
+    2**(lo-1) modulo 2**lo, one stride of the range each, so every subset
+    is visited once and only its size is computed.
+    """
+    if n < 1:
+        raise DomainError(f"ratio_tally: n must be >= 1, got {n}")
+    require_scan_within_cap(n - 1, "ratio_tally")
+    top = 1 << (n - 1)
+    tally = {}
+    for lo in range(1, n + 1):
+        low = 1 << (lo - 1)
+        sizes = Counter(map(int.bit_count, range(top | low, top << 1, low << 1)))
+        for size, count in sizes.items():
+            tally[lo, size] = count
+    return tally
+
+
+def count_in_tally(tally: dict[tuple[int, int], int], p: int, q: int) -> int:
+    """Count the members of one ratio family, q * min >= p * size, in a
+    level's ``ratio_tally``."""
+    return sum(count for (lo, size), count in tally.items() if q * lo >= p * size)
+
+
 def count_ratio_family(p: int, q: int, n: int) -> int:
     """Count sets with max = n and q * min >= p * size, by exhaustive scan."""
-    return len(_ratio_member_masks(p, q, n, "count_ratio_family"))
+    _require_ratio_domain(p, q, n, "count_ratio_family")
+    return count_in_tally(ratio_tally(n), p, q)
 
 
 def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:

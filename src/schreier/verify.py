@@ -6,6 +6,13 @@ were evaluated, and the first counterexample if any instance failed.  The
 suites never trust a formula: one side of every comparison is either a
 brute-force oracle or an independently computed route.
 
+Each suite scans an oracle once for all of its levels: the partition checks
+read ``partition_reports``, one scan of the largest universe their range
+needs (each pinned level once for thm1_4), and mpq reads all nine (p, q)
+counts of a level off one ``ratio_tally``.  ``all`` runs every suite once:
+the eq3_10 and eq1_2 reports that identities includes are served from the
+runs ``all`` has just made whenever their ranges are the same.
+
 The randomized checks (the seeded partial-sum difference lemmas) draw their
 seed vectors and input sequences from ``random.Random`` with the fixed
 default seed below, so failures reproduce; the seed can be overridden.
@@ -18,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bijections import verify_partition
+from .bijections import partition_reports
 from .closed_forms import (
     band_count,
     closed_count,
@@ -34,8 +41,9 @@ from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
     count_family_a,
     count_family_a_grid,
-    count_ratio_family,
+    count_in_tally,
     enumerate_family_k,
+    ratio_tally,
     require_scan_within_cap,
     stream_family_a,
     stream_family_k,
@@ -122,8 +130,8 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
             "diagonal-partition",
             f"n=2..{part_top}",
             (
-                (f"n={n}", verify_partition("thm1_1", n).ok, True)
-                for n in range(2, part_top + 1)
+                (f"n={r.n}", r.ok, True)
+                for r in partition_reports("thm1_1", part_top)
             ),
         ),
     ]
@@ -250,8 +258,8 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
             "pinned-partition",
             f"n=3..{part_top}",
             (
-                (f"n={n}", verify_partition("thm1_4", n).ok, True)
-                for n in range(3, part_top + 1)
+                (f"n={r.n}", r.ok, True)
+                for r in partition_reports("thm1_4", part_top)
             ),
         ),
         _run_checks("pinned-min2-members", f"n=3..{claim_top}", claim_min2()),
@@ -299,9 +307,8 @@ def suite_rec3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 yield (f"k={k} n={n}", grid[k - 1][n - 1], closed_count(k, n))
 
     def part_cases():
-        for k in range(2, part_k + 1):
-            for n in range(max(k, 2) + 1, part_n + 1):
-                yield (f"k={k} n={n}", verify_partition("rec3_1", n, k=k).ok, True)
+        for r in partition_reports("rec3_1", part_n, part_k):
+            yield (f"k={r.k} n={r.n}", r.ok, True)
 
     return [
         _run_checks(
@@ -484,6 +491,8 @@ def suite_eq3_10(n_max=None, k_max=None, seed=None) -> list[Report]:
 def suite_mpq(n_max=None, k_max=None, seed=None) -> list[Report]:
     n_top = n_max if n_max is not None else 18
     require_scan_within_cap(n_top - 1, "suite mpq")
+    # One scan per level, tallied by (min, size), serves all nine families.
+    tallies = {n: ratio_tally(n) for n in range(1, n_top + 1)}
     reports = []
     for p in (1, 2, 3):
         for q in (1, 2, 3):
@@ -495,7 +504,7 @@ def suite_mpq(n_max=None, k_max=None, seed=None) -> list[Report]:
                         (
                             f"p={p} q={q} n={n}",
                             ratio_recurrence(p, q, n),
-                            count_ratio_family(p, q, n),
+                            count_in_tally(tallies[n], p, q),
                         )
                         for n in range(1, n_top + 1)
                     ),
@@ -504,7 +513,13 @@ def suite_mpq(n_max=None, k_max=None, seed=None) -> list[Report]:
     return reports
 
 
-def suite_identities(n_max=None, k_max=None, seed=None) -> list[Report]:
+def _identities(
+    n_max: Optional[int],
+    k_max: Optional[int],
+    run: Callable[[str, Optional[int], Optional[int]], list[Report]],
+) -> list[Report]:
+    """The identities suite, with ``run(name, n_max, k_max)`` giving the
+    reports of the suites it includes."""
     hs_top = n_max if n_max is not None else 60
     diag_top = n_max if n_max is not None else 200
 
@@ -529,15 +544,31 @@ def suite_identities(n_max=None, k_max=None, seed=None) -> list[Report]:
         _run_checks("hockey-stick", f"0<=m<=n<={hs_top}", hockey_cases()),
         _run_checks("fib-antidiagonal", f"n=0..{diag_top}", diagonal_cases()),
     ]
-    reports.extend(suite_eq3_10(n_max=n_max, k_max=k_max))
-    reports.extend(suite_eq1_2(n_max=min(n_max, 14) if n_max is not None else None))
+    reports.extend(run("eq3_10", n_max, k_max))
+    reports.extend(run("eq1_2", min(n_max, 14) if n_max is not None else None, k_max))
     return reports
 
 
+def suite_identities(n_max=None, k_max=None, seed=None) -> list[Report]:
+    return _identities(n_max, k_max, lambda name, n, k: SUITES[name](n_max=n, k_max=k))
+
+
 def suite_all(n_max=None, k_max=None, seed=None) -> list[Report]:
+    # identities includes eq3_10 and eq1_2; their reports are served from
+    # the runs made here whenever the ranges are the same.
+    runs: dict[tuple[str, Optional[int], Optional[int]], list[Report]] = {}
+
+    def run(name: str, n: Optional[int], k: Optional[int]) -> list[Report]:
+        if (name, n, k) not in runs:
+            runs[name, n, k] = SUITES[name](n_max=n, k_max=k, seed=seed)
+        return runs[name, n, k]
+
     reports = []
     for name in SUITE_ORDER:
-        reports.extend(SUITES[name](n_max=n_max, k_max=k_max, seed=seed))
+        if name == "identities":
+            reports.extend(_identities(n_max, k_max, run))
+        else:
+            reports.extend(run(name, n_max, k_max))
     return reports
 
 

@@ -2,19 +2,21 @@
 
 import pytest
 
+from schreier import bijections
 from schreier.bijections import (
     BijectionReport,
     _check_partition,
     column_shift,
     diag_shift,
     diag_swap,
+    partition_reports,
     shift_by_one,
     two_level_step,
     verify_partition,
 )
-from schreier.enumeration import enumerate_family_a
+from schreier.enumeration import enumerate_family_a, enumerate_family_k
 from schreier.errors import DomainError, SizeLimitError
-from schreier.finite_sets import FiniteSet, in_weighted_family
+from schreier.finite_sets import FiniteSet, SchreierClass, classify, in_weighted_family
 
 
 def test_diag_shift_examples():
@@ -169,3 +171,131 @@ def test_check_partition_reports_map_failures_not_skips():
     assert not report.well_defined
     assert report.first_violation[0] == FiniteSet.of(1)
     assert "map failed" in report.first_violation[1]
+
+
+# -- the mask maps and the scan-once route -------------------------------------
+
+
+def _reference_images(kind, n, k):
+    """The maps as set operations, each case written out on FiniteSets, for
+    the two domains of one level: [(domain, mask map, public map, reference)]."""
+
+    def diag_swap_ref(F):
+        if classify(F) in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL):
+            return F
+        return F.without_element(n).with_element(n + 1)
+
+    def two_level_ref(F):
+        if len(F) == 1:
+            return FiniteSet.of(2, 3, n + 1)
+        if F.min == 2:
+            return FiniteSet.of(3, 5, n + 1)
+        if F.min == 3:
+            return F.without_element(3).shift(2).with_element(3)
+        return F.shift(2).with_element(len(F) + 2)
+
+    if kind == "thm1_1":
+        return [
+            (
+                enumerate_family_a(n - 1, n - 1),
+                lambda m: bijections._diag_shift_mask(m, n),
+                lambda F: diag_shift(F, n),
+                lambda F: F.shift(1).with_element(n + 1),
+            ),
+            (
+                enumerate_family_a(n, n),
+                lambda m: bijections._diag_swap_mask(m, n),
+                lambda F: diag_swap(F, n),
+                diag_swap_ref,
+            ),
+        ]
+    if kind == "rec3_1":
+        return [
+            (
+                enumerate_family_a(k - 1, n - 2),
+                lambda m: bijections._column_shift_mask(m, n),
+                lambda F: column_shift(F, k, n),
+                lambda F: F.shift(1).with_element(n),
+            )
+        ]
+    return [
+        (enumerate_family_k(n), bijections._shift_by_one_mask, shift_by_one, lambda F: F.shift(1)),
+        (
+            enumerate_family_k(n - 1),
+            lambda m: bijections._two_level_step_mask(m, n),
+            lambda F: two_level_step(F, n),
+            two_level_ref,
+        ),
+    ]
+
+
+def _default_levels():
+    yield from (("thm1_1", n, None) for n in range(2, 17))
+    yield from (("rec3_1", n, k) for k in range(2, 9) for n in range(max(k, 2) + 1, 17))
+    yield from (("thm1_4", n, None) for n in range(3, 19))
+
+
+def test_mask_maps_agree_with_the_set_maps_on_every_default_domain():
+    members = 0
+    for kind, n, k in _default_levels():
+        for domain, mask_map, public, reference in _reference_images(kind, n, k):
+            for F in domain:
+                image = bijections._set_of(mask_map(bijections._mask_of(F)))
+                assert image == public(F) == reference(F), (kind, n, k, F)
+                members += 1
+    assert members > 10_000
+
+
+def test_partition_reports_equal_verify_partition_level_by_level():
+    for kind, n_top, k_top in (("thm1_1", 16, None), ("rec3_1", 16, 8), ("thm1_4", 18, None)):
+        reports = partition_reports(kind, n_top, k_top)
+        levels = [(n, k) for kind2, n, k in _default_levels() if kind2 == kind]
+        assert [(r.n, r.k) for r in reports] == levels
+        assert reports == [verify_partition(kind, n, k) for n, k in levels]
+        assert all(r.ok for r in reports)
+
+
+def test_partition_reports_ranges_and_argument_errors():
+    assert partition_reports("thm1_1", 1) == []
+    assert partition_reports("rec3_1", 16, 1) == []
+    assert partition_reports("thm1_4", 2) == []
+    with pytest.raises(DomainError):
+        partition_reports("nope", 5)
+    with pytest.raises(DomainError):
+        partition_reports("rec3_1", 5)
+    with pytest.raises(DomainError):
+        partition_reports("thm1_4", 5, 3)
+    with pytest.raises(SizeLimitError):
+        partition_reports("thm1_1", 24)
+    with pytest.raises(SizeLimitError):
+        partition_reports("thm1_4", 10**9)
+
+
+@pytest.mark.parametrize(
+    "kind, name, n, k, witness",
+    [
+        ("thm1_1", "_diag_swap_mask", 8, None, FiniteSet.of(2, 8)),
+        ("rec3_1", "_column_shift_mask", 12, 5, FiniteSet.of(2, 4)),
+        ("thm1_4", "_two_level_step_mask", 9, None, FiniteSet.of(2, 3, 8)),
+    ],
+)
+def test_a_broken_mask_map_is_caught_with_the_first_witness_in_enum_order(
+    monkeypatch, kind, name, n, k, witness
+):
+    # Sets of two or more elements are sent outside every codomain.  The
+    # witness is the first such member of the second domain in EnumOrder,
+    # which is not the first in mask order ({3,4} and {3,5,8} come first there).
+    mask_map = getattr(bijections, name)
+
+    def broken(m, n):
+        return mask_map(m, n) | (1 << (n + 3) if m.bit_count() >= 2 else 0)
+
+    monkeypatch.setattr(bijections, name, broken)
+    report = verify_partition(kind, n, k)
+    assert not report.well_defined and not report.ok
+    assert report.first_violation[0] == witness
+    assert "outside the codomain" in report.first_violation[1]
+    domain = _reference_images(kind, n, k)[-1][0]
+    assert witness == next(F for F in domain if len(F) >= 2)
+    n_top, k_top = (n, k) if kind == "rec3_1" else (n, None)
+    assert partition_reports(kind, n_top, k_top)[-1] == report

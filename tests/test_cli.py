@@ -20,6 +20,7 @@ from schreier.enumeration import enumerate_family_a, enumerate_family_k, enumera
 from schreier.verify import SUITE_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
+VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
 
 
 def run_cli(args):
@@ -306,6 +307,19 @@ def test_verify_suite_passes(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("PASS fib-transform-closed-vs-operator")
     assert lines[-1] == "suite eq3_9: 1/1 checks passed (44 instances) OK"
+
+
+def test_verify_all_matches_golden_file():
+    result = run_cli(["verify", "--suite", "all"])
+    assert result.returncode == 0
+    assert result.stdout == VERIFY_GOLDEN.read_bytes()
+
+
+def test_verify_identities_forwards_k_max_to_both_included_suites(capsys):
+    code, out, _ = main_out(capsys, ["verify", "--suite", "identities", "--k-max", "3"])
+    assert code == 0
+    params = [line.split(" [")[1].split("]")[0] for line in out.splitlines()[:-1]]
+    assert params[2:] == ["l=0..25 k=l+2..3", "k=1..3, E within {1..14}"]
 
 
 def test_verify_failure_sets_exit_code(capsys):

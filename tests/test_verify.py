@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import schreier.core as core
-from schreier import enumeration, verify
+from schreier import closed_forms, enumeration, verify
 from schreier.errors import DomainError
 from schreier.verify import DEFAULT_SEED, Report, SUITE_ORDER, SUITES, run_suite
 
@@ -112,11 +112,11 @@ def test_thm1_2_fills_its_grid_from_one_scan(monkeypatch):
     assert scans == [(20, "count_family_a_grid")]
 
 
-def test_thm1_4_scans_each_pinned_level_at_most_four_times(monkeypatch):
+def test_thm1_4_scans_each_pinned_level_at_most_twice(monkeypatch):
     # The naive oracle scans only the levels the partitions read: once for
-    # the cross-check of the structured level, and once for each of the
-    # three partitions (at n - 1, n and n + 1) that read the level.  The
-    # structured route builds every level the checks read exactly once.
+    # the cross-check of the structured level, and once for all the
+    # partitions that read the level.  The structured route builds every
+    # level the checks read exactly once.
     scans = _record_scans(monkeypatch)
     built = []
     stream = verify.stream_family_k
@@ -127,8 +127,63 @@ def test_thm1_4_scans_each_pinned_level_at_most_four_times(monkeypatch):
 
     monkeypatch.setattr(verify, "stream_family_k", recording)
     assert all(r.passed for r in run_suite("thm1_4"))
-    per_level = Counter(n + 1 for n, what in scans if what == "enumerate_family_k")
-    assert len(scans) == sum(per_level.values())
+    per_level = Counter(n + 1 for n, _ in scans)
+    assert Counter(what for _, what in scans) == {
+        "enumerate_family_k": 18,
+        "partitions thm1_4": 18,
+    }
     assert set(per_level) == set(range(2, 20))
-    assert max(per_level.values()) <= 4
+    assert max(per_level.values()) <= 2
     assert built == list(range(2, 24))
+
+
+@pytest.mark.parametrize("suite, kind", [("thm1_1", "thm1_1"), ("rec3_1", "rec3_1")])
+def test_family_a_partitions_read_one_scan(monkeypatch, suite, kind):
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite(suite))
+    universe = 17 if kind == "thm1_1" else 16
+    assert [s for s in scans if s[1] == f"partitions {kind}"] == [(universe, f"partitions {kind}")]
+
+
+def test_mpq_scans_each_level_once(monkeypatch):
+    # ratio_recurrence seeds its first p + q - 1 terms from count_ratio_family;
+    # the nine families' oracle counts all read one tally per level.
+    scans = _record_scans(monkeypatch)
+    seeded = []
+    count = enumeration.count_ratio_family
+
+    def recording(p, q, n):
+        seeded.append(n)
+        return count(p, q, n)
+
+    monkeypatch.setattr(closed_forms, "count_ratio_family", recording)
+    assert all(r.passed for r in run_suite("mpq"))
+    per_level = Counter(n + 1 for n, _ in scans)
+    for n in seeded:
+        per_level[n] -= 1
+    assert +per_level == Counter(range(1, 19))
+
+
+def test_all_runs_eq1_2_and_eq3_10_once(monkeypatch):
+    runs = Counter()
+    for name in ("eq1_2", "eq3_10"):
+
+        def recording(n_max=None, k_max=None, seed=None, suite=SUITES[name], name=name):
+            runs[name] += 1
+            return suite(n_max=n_max, k_max=k_max, seed=seed)
+
+        monkeypatch.setitem(SUITES, name, recording)
+    reports = run_suite("all", n_max=6, k_max=3)
+    assert runs == {"eq1_2": 1, "eq3_10": 1}
+    names = [r.identity for r in reports]
+    assert names.count("weighted-family-decomposition") == 2
+    assert names.count("fib-binom-collapse") == 2
+    runs.clear()
+    assert len(run_suite("identities", n_max=6, k_max=3)) == 4
+    assert runs == {"eq1_2": 1, "eq3_10": 1}
+    runs.clear()
+    # eq1_2 within identities keeps its universe at 14 at most, a different
+    # range from the one all runs with a larger n_max, so it runs again.
+    run_suite("all", n_max=15, k_max=1)
+    assert runs == {"eq1_2": 2, "eq3_10": 1}
+
