@@ -27,7 +27,7 @@ from .bijections import (
     column_shift,
     diag_shift,
     diag_swap,
-    partition_reports,
+    partition_scan,
     shift_by_one,
     two_level_step,
     verify_partition,
@@ -101,7 +101,7 @@ __all__ = [
     "in_weighted_family",
     "iterated_partial_sum",
     "oracle_cap",
-    "partition_reports",
+    "partition_scan",
     "ratio_recurrence",
     "recurrence_table",
     "repeated_partial_sum",

@@ -21,31 +21,36 @@ element i, as in ``enumeration``): ``diag_shift`` is ``(m << 1) | 1 << n``,
 ``two_level_step`` has its four cases.  The public maps on ``FiniteSet``
 check their domain, then apply the mask map.
 
-``partition_reports`` never trusts those descriptions.  For every level of
-a range it re-derives each domain and codomain from one brute-force scan,
-never the structured routes: family A's candidates over the largest
-universe, of which those of {1..n} are the prefix below 2**n, or each
-pinned level once.  It applies the mask maps and tests four independent
-flags (well-definedness, injectivity, disjointness of the two images, exact
-cover of the codomain) as set operations.  All four flags true is precisely
-the claimed partition.  Only when one fails are the levels built as
-FiniteSets, for ``_check_partition`` to set the flags and pick the first
-violation deterministically in enumeration order; domain errors raised by
-a map surface there as well-definedness failures, never as silent skips.
-``verify_partition`` is the one-level case.
+``verify_partition`` never trusts those descriptions.  It re-derives each
+domain and codomain of a level from brute-force scans, never the structured
+routes: family A's candidates over the level's largest universe, of which
+those of {1..n} are the prefix below 2**n, or the pinned levels.  It
+applies the mask maps and tests four independent flags (well-definedness,
+injectivity, disjointness of the two images, exact cover of the codomain)
+as set operations.  All four flags true is precisely the claimed partition.
+Only when one fails are the levels built as FiniteSets, for
+``_check_partition`` to set the flags and pick the first violation
+deterministically in enumeration order; domain errors raised by a map
+surface there as well-definedness failures, never as silent skips.
+Inside a ``partition_scan(kind, n_top)`` block, the checks at every level
+up to n_top share one scan: {1..n_top+1} for thm1_1, {1..n_top} for
+rec3_1, each pinned level once for thm1_4.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .enumeration import (
     _a_candidate_masks,
     _a_member_masks,
     _k_member_masks,
     _members_in_order,
+    _set_of,
     require_scan_within_cap,
 )
 from .errors import DomainError
@@ -118,10 +123,6 @@ def _two_level_step_mask(m: int, n: int) -> int:
 
 def _mask_of(F: FiniteSet) -> int:
     return sum(1 << (x - 1) for x in F)
-
-
-def _set_of(m: int) -> FiniteSet:
-    return FiniteSet(tuple(i for i in range(1, m.bit_length() + 1) if m >> (i - 1) & 1))
 
 
 # -- the maps on sets --------------------------------------------------------
@@ -277,21 +278,16 @@ def _check_masks(
     for ``_check_partition`` to set the flags and find the first violation.
     """
     (dom1, fn1), (dom2, fn2) = part1, part2
-    try:
-        images1, images2 = set(map(fn1, dom1)), set(map(fn2, dom2))
-    except DomainError:
-        holds = False
-    else:
-        targets = set(codomain)
-        holds = (
-            len(images1) == len(dom1)
-            and len(images2) == len(dom2)
-            and images1 <= targets
-            and images2 <= targets
-            and images1.isdisjoint(images2)
-            and len(images1) + len(images2) == len(targets)
-        )
-    if holds:
+    images1, images2 = set(map(fn1, dom1)), set(map(fn2, dom2))
+    targets = set(codomain)
+    if (
+        len(images1) == len(dom1)
+        and len(images2) == len(dom2)
+        and images1 <= targets
+        and images2 <= targets
+        and images1.isdisjoint(images2)
+        and len(images1) + len(images2) == len(targets)
+    ):
         return BijectionReport(map_name, n, k, True, True, True, True)
 
     def lift(fn: Callable[[int], int]) -> Callable[[FiniteSet], FiniteSet]:
@@ -313,99 +309,88 @@ def _require_partition_cap(kind: str, n: int, what: str) -> None:
     require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"{what}: {kind}")
 
 
-def _check_levels(
-    kind: str, levels: list[tuple[int, Optional[int]]]
-) -> list[BijectionReport]:
-    """Check the partition at each (n, k) in levels, reading every domain and
-    codomain from one naive scan: family A's candidates over the largest
-    universe, or each pinned level once."""
-    what = f"partitions {kind}"
+class _Scans:
+    """The naive scans that the checks of one kind at levels up to n_top
+    read, each made once, when first needed: family A's candidates over the
+    largest universe those levels use, whose prefix below 2**n are the
+    candidates of {1..n}, and each pinned level."""
 
-    if kind == "thm1_4":
-        pinned: dict[int, list[int]] = {}
+    def __init__(self, kind: str, n_top: int) -> None:
+        self.kind = kind
+        self.n_top = n_top
+        self.what = f"partitions {kind}"
+        self.candidates: Optional[list[int]] = None
+        self.rows: dict[int, list[int]] = {}
+        self.pinned: dict[int, list[int]] = {}
 
-        def level(n: int) -> list[int]:
-            if n not in pinned:
-                pinned[n] = _k_member_masks(n, what)
-            return pinned[n]
+    def family_a(self, k: int, n: int) -> list[int]:
+        """The members of A(k, n) as ascending masks: a prefix of the
+        members among all the candidates."""
+        if self.candidates is None:
+            universe = self.n_top + 1 if self.kind == "thm1_1" else self.n_top
+            self.candidates = _a_candidate_masks(universe, self.what)
+        if k not in self.rows:
+            self.rows[k] = _a_member_masks(k, self.candidates)
+        return self.rows[k][: bisect_left(self.rows[k], 1 << n)]
 
-        return [
-            _check_masks(
-                "shift_by_one+two_level_step",
-                n,
-                None,
-                (level(n), _shift_by_one_mask),
-                (level(n - 1), lambda m: _two_level_step_mask(m, n)),
-                level(n + 1),
-            )
-            for n, _ in levels
-        ]
+    def family_k(self, n: int) -> list[int]:
+        """The members of the pinned level n as masks."""
+        if n not in self.pinned:
+            self.pinned[n] = _k_member_masks(n, self.what)
+        return self.pinned[n]
 
-    # The candidates of {1..n} are those below 2**n, a prefix of the scan;
-    # the members of A(k, n) are a prefix of the members for each k.
-    top = max(n for n, _ in levels)
-    candidates = _a_candidate_masks(top + 1 if kind == "thm1_1" else top, what)
-    rows: dict[int, list[int]] = {}
-
-    def family(k: int, n: int) -> list[int]:
-        if k not in rows:
-            rows[k] = _a_member_masks(k, candidates)
-        return rows[k][: bisect_left(rows[k], 1 << n)]
-
-    if kind == "thm1_1":
-        return [
-            _check_masks(
+    def check(self, n: int, k: Optional[int]) -> BijectionReport:
+        """Check the partition at level n (and k for rec3_1)."""
+        if self.kind == "thm1_1":
+            return _check_masks(
                 "diag_shift+diag_swap",
                 n,
                 None,
-                (family(n - 1, n - 1), lambda m: _diag_shift_mask(m, n)),
-                (family(n, n), lambda m: _diag_swap_mask(m, n)),
-                family(n + 1, n + 1),
+                (self.family_a(n - 1, n - 1), lambda m: _diag_shift_mask(m, n)),
+                (self.family_a(n, n), lambda m: _diag_swap_mask(m, n)),
+                self.family_a(n + 1, n + 1),
             )
-            for n, _ in levels
-        ]
-    return [
-        _check_masks(
-            "embed+column_shift",
+        if self.kind == "rec3_1":
+            return _check_masks(
+                "embed+column_shift",
+                n,
+                k,
+                (self.family_a(k, n - 1), lambda m: m),
+                (self.family_a(k - 1, n - 2), lambda m: _column_shift_mask(m, n)),
+                self.family_a(k, n),
+            )
+        return _check_masks(
+            "shift_by_one+two_level_step",
             n,
-            k,
-            (family(k, n - 1), lambda m: m),
-            (family(k - 1, n - 2), lambda m: _column_shift_mask(m, n)),
-            family(k, n),
+            None,
+            (self.family_k(n), _shift_by_one_mask),
+            (self.family_k(n - 1), lambda m: _two_level_step_mask(m, n)),
+            self.family_k(n + 1),
         )
-        for n, k in levels
-    ]
 
 
-def partition_reports(
-    kind: str, n_top: int, k_top: Optional[int] = None
-) -> list[BijectionReport]:
-    """Check one partition construction at every level of a range, in order:
-    thm1_1 at n = 2..n_top, rec3_1 at k = 2..k_top and, for each k,
-    n = max(k, 2) + 1..n_top, thm1_4 at n = 3..n_top.
+# The scans shared inside a ``partition_scan`` block, and only there.
+_shared_scans: ContextVar[Optional[_Scans]] = ContextVar("shared_scans", default=None)
 
-    Every level reads one naive scan: {1..n_top+1} for thm1_1, {1..n_top}
-    for rec3_1, and each pinned level 2..n_top+1 once for thm1_4.  An empty
-    range gives no report; the size cap is that of ``verify_partition`` at
-    n_top, checked before any scan.
+
+@contextmanager
+def partition_scan(kind: str, n_top: int) -> Iterator[None]:
+    """Share one naive scan among the checks of a range of levels.
+
+    Inside the block, ``verify_partition(kind, n, k)`` at every level
+    n <= n_top reads the same scans: family A's candidates of {1..n_top+1}
+    for thm1_1 or {1..n_top} for rec3_1, and each pinned level once for
+    thm1_4.  The scans are made when first read, each checked against the
+    size cap then, and dropped when the block ends; a check of another kind
+    or at a higher level makes its own.
     """
     if kind not in PARTITION_KINDS:
-        raise DomainError(f"partition_reports: unknown kind {kind!r}")
-    if kind == "rec3_1":
-        if k_top is None:
-            raise DomainError("partition_reports: rec3_1 needs k_top")
-        ks = range(2, min(k_top, n_top - 1) + 1)  # a level n > k needs k < n_top
-    elif k_top is not None:
-        raise DomainError(f"partition_reports: {kind} takes no k_top")
-    least = 2 if kind == "thm1_1" else 3
-    if n_top < least or (kind == "rec3_1" and not ks):
-        return []
-    _require_partition_cap(kind, n_top, "partition_reports")
-    if kind == "rec3_1":
-        levels = [(n, k) for k in ks for n in range(max(k, 2) + 1, n_top + 1)]
-    else:
-        levels = [(n, None) for n in range(least, n_top + 1)]
-    return _check_levels(kind, levels)
+        raise DomainError(f"partition_scan: unknown kind {kind!r}")
+    token = _shared_scans.set(_Scans(kind, n_top))
+    try:
+        yield
+    finally:
+        _shared_scans.reset(token)
 
 
 def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionReport:
@@ -418,7 +403,8 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
     ``two_level_step`` from level n - 1 partition the pinned family at
     level n + 1 (3 <= n <= 24).  The upper ends are the size cap on the
     largest level's scan, which is checked before any domain is scanned.
-    This is the one-level case of ``partition_reports``.
+    Inside a ``partition_scan`` block of this kind that reaches level n,
+    the domains and codomain come from its scans.
     """
     if kind not in PARTITION_KINDS:
         raise DomainError(f"verify_partition: unknown kind {kind!r}")
@@ -437,4 +423,7 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
         least = 2 if kind == "thm1_1" else 3
         if n < least:
             raise DomainError(f"verify_partition: {kind} needs n >= {least}, got {n}")
-    return _check_levels(kind, [(n, k)])[0]
+    shared = _shared_scans.get()
+    if shared is not None and shared.kind == kind and n <= shared.n_top:
+        return shared.check(n, k)
+    return _Scans(kind, n).check(n, k)

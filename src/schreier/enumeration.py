@@ -105,16 +105,19 @@ def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
     return (len(E.elements), E.elements)
 
 
+def _set_of(m: int) -> FiniteSet:
+    """The set a mask stands for: bit i-1 set for each element i."""
+    elems = []
+    while m:
+        low = m & -m
+        elems.append(low.bit_length())
+        m ^= low
+    return FiniteSet(tuple(elems))
+
+
 def _members_in_order(masks: list[int]) -> list[FiniteSet]:
     """Build one FiniteSet per mask and return them in EnumOrder."""
-    members = []
-    for m in masks:
-        elems = []
-        while m:
-            low = m & -m
-            elems.append(low.bit_length())
-            m ^= low
-        members.append(FiniteSet(tuple(elems)))
+    members = [_set_of(m) for m in masks]
     members.sort(key=enum_order_key)
     return members
 
@@ -329,15 +332,19 @@ def _require_ratio_domain(p: int, q: int, n: int, what: str) -> None:
         raise DomainError(f"{what}: n must be >= 1, got {n}")
 
 
+def _ratio_admits(p: int, q: int, lo: int, size: int) -> bool:
+    """The ratio family's rule for a set with minimum lo: q * min >= p * size."""
+    return q * lo >= p * size
+
+
 def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
-    """Scan the subsets of {1..n} with maximum n and keep those with
-    q * min >= p * size."""
+    """Scan the subsets of {1..n} with maximum n and keep the members."""
     _require_ratio_domain(p, q, n, what)
     require_scan_within_cap(n - 1, what)
     return [
         m
         for m in range(1 << (n - 1), 1 << n)
-        if q * (m & -m).bit_length() >= p * m.bit_count()
+        if _ratio_admits(p, q, (m & -m).bit_length(), m.bit_count())
     ]
 
 
@@ -378,7 +385,7 @@ def ratio_tally(n: int) -> dict[tuple[int, int], int]:
 def count_in_tally(tally: dict[tuple[int, int], int], p: int, q: int) -> int:
     """Count the members of one ratio family, q * min >= p * size, in a
     level's ``ratio_tally``."""
-    return sum(count for (lo, size), count in tally.items() if q * lo >= p * size)
+    return sum(count for (lo, size), count in tally.items() if _ratio_admits(p, q, lo, size))
 
 
 def count_ratio_family(p: int, q: int, n: int) -> int:

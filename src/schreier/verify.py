@@ -7,11 +7,12 @@ suites never trust a formula: one side of every comparison is either a
 brute-force oracle or an independently computed route.
 
 Each suite scans an oracle once for all of its levels: the partition checks
-read ``partition_reports``, one scan of the largest universe their range
-needs (each pinned level once for thm1_4), and mpq reads all nine (p, q)
-counts of a level off one ``ratio_tally``.  ``all`` runs every suite once:
-the eq3_10 and eq1_2 reports that identities includes are served from the
-runs ``all`` has just made whenever their ranges are the same.
+run level by level inside one ``partition_scan``, so they read one scan of
+the largest universe their range needs (each pinned level once for thm1_4),
+and mpq reads all nine (p, q) counts of a level off one ``ratio_tally``.
+``all`` runs every suite once: the eq3_10 and eq1_2 reports that identities
+includes are served from the runs ``all`` has just made whenever their
+ranges are the same.
 
 The randomized checks (the seeded partial-sum difference lemmas) draw their
 seed vectors and input sequences from ``random.Random`` with the fixed
@@ -25,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bijections import partition_reports
+from .bijections import partition_scan, verify_partition
 from .closed_forms import (
     band_count,
     closed_count,
@@ -105,7 +106,16 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     # The partition at level n scans the (n+1)-diagonal.
     require_scan_within_cap(max(enum_top, part_top + 1), "suite thm1_1")
     grid = count_family_a_grid(enum_top, enum_top)
-    reports = [
+    with partition_scan("thm1_1", part_top):
+        partition = _run_checks(
+            "diagonal-partition",
+            f"n=2..{part_top}",
+            (
+                (f"n={n}", verify_partition("thm1_1", n).ok, True)
+                for n in range(2, part_top + 1)
+            ),
+        )
+    return [
         _run_checks(
             "diagonal-count-vs-enumeration",
             f"n=1..{enum_top}",
@@ -126,16 +136,8 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 for n in range(1, formula_top + 1)
             ),
         ),
-        _run_checks(
-            "diagonal-partition",
-            f"n=2..{part_top}",
-            (
-                (f"n={r.n}", r.ok, True)
-                for r in partition_reports("thm1_1", part_top)
-            ),
-        ),
+        partition,
     ]
-    return reports
 
 
 def suite_thm1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
@@ -243,6 +245,16 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
             else:
                 yield (f"n={n}", got, [3] * len(got))
 
+    with partition_scan("thm1_4", part_top):
+        partition = _run_checks(
+            "pinned-partition",
+            f"n=3..{part_top}",
+            (
+                (f"n={n}", verify_partition("thm1_4", n).ok, True)
+                for n in range(3, part_top + 1)
+            ),
+        )
+
     def count_cases():
         for n in range(2, count_top + 1):
             want = family_k_count(n)
@@ -254,14 +266,7 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     return [
         _run_checks("pinned-count-vs-enumeration", f"n=2..{count_top}", count_cases()),
         _run_checks("pinned-case-split", f"n=3..{case_top}", case_cases()),
-        _run_checks(
-            "pinned-partition",
-            f"n=3..{part_top}",
-            (
-                (f"n={r.n}", r.ok, True)
-                for r in partition_reports("thm1_4", part_top)
-            ),
-        ),
+        partition,
         _run_checks("pinned-min2-members", f"n=3..{claim_top}", claim_min2()),
         _run_checks("pinned-min3-members", f"n=3..{claim_top}", claim_min3()),
     ]
@@ -307,19 +312,18 @@ def suite_rec3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 yield (f"k={k} n={n}", grid[k - 1][n - 1], closed_count(k, n))
 
     def part_cases():
-        for r in partition_reports("rec3_1", part_n, part_k):
-            yield (f"k={r.k} n={r.n}", r.ok, True)
+        for k in range(2, part_k + 1):
+            for n in range(max(k, 2) + 1, part_n + 1):
+                yield (f"k={k} n={n}", verify_partition("rec3_1", n, k=k).ok, True)
 
-    return [
-        _run_checks(
-            "recurrence-interior-vs-closed",
-            f"k=2..{table_k} n=1..{table_n}",
-            table_cases(),
-        ),
-        _run_checks(
-            "column-partition", f"k=2..{part_k} n<= {part_n}", part_cases()
-        ),
-    ]
+    table = _run_checks(
+        "recurrence-interior-vs-closed",
+        f"k=2..{table_k} n=1..{table_n}",
+        table_cases(),
+    )
+    with partition_scan("rec3_1", part_n):
+        partition = _run_checks("column-partition", f"k=2..{part_k} n<= {part_n}", part_cases())
+    return [table, partition]
 
 
 def _random_vectors(seed: int, k_top: int, n_top: int):

@@ -2,14 +2,14 @@
 
 import pytest
 
-from schreier import bijections
+from schreier import bijections, enumeration
 from schreier.bijections import (
     BijectionReport,
     _check_partition,
     column_shift,
     diag_shift,
     diag_swap,
-    partition_reports,
+    partition_scan,
     shift_by_one,
     two_level_step,
     verify_partition,
@@ -173,7 +173,7 @@ def test_check_partition_reports_map_failures_not_skips():
     assert "map failed" in report.first_violation[1]
 
 
-# -- the mask maps and the scan-once route -------------------------------------
+# -- the mask maps and the shared scan ----------------------------------------
 
 
 def _reference_images(kind, n, k):
@@ -246,29 +246,53 @@ def test_mask_maps_agree_with_the_set_maps_on_every_default_domain():
     assert members > 10_000
 
 
-def test_partition_reports_equal_verify_partition_level_by_level():
-    for kind, n_top, k_top in (("thm1_1", 16, None), ("rec3_1", 16, 8), ("thm1_4", 18, None)):
-        reports = partition_reports(kind, n_top, k_top)
+def test_a_shared_scan_changes_no_report():
+    for kind, n_top in (("thm1_1", 16), ("rec3_1", 16), ("thm1_4", 18)):
         levels = [(n, k) for kind2, n, k in _default_levels() if kind2 == kind]
-        assert [(r.n, r.k) for r in reports] == levels
-        assert reports == [verify_partition(kind, n, k) for n, k in levels]
-        assert all(r.ok for r in reports)
+        alone = [verify_partition(kind, n, k) for n, k in levels]
+        with partition_scan(kind, n_top):
+            shared = [verify_partition(kind, n, k) for n, k in levels]
+        assert shared == alone
+        assert all(r.ok for r in shared)
 
 
-def test_partition_reports_ranges_and_argument_errors():
-    assert partition_reports("thm1_1", 1) == []
-    assert partition_reports("rec3_1", 16, 1) == []
-    assert partition_reports("thm1_4", 2) == []
+def test_partition_scan_is_shared_only_inside_its_block(monkeypatch):
+    scans = []
+    guard = enumeration.require_scan_within_cap
+
+    def recording(n, what):
+        scans.append(n)
+        guard(n, what)
+
+    monkeypatch.setattr(enumeration, "require_scan_within_cap", recording)
+    with partition_scan("rec3_1", 10):
+        for n, k in ((5, 3), (10, 3), (9, 4), (6, 2)):
+            assert verify_partition("rec3_1", n, k).ok
+        assert scans == [10]
+        verify_partition("rec3_1", 11, 3)  # past n_top: a scan of its own
+        verify_partition("thm1_1", 4)  # another kind: a scan of {1..5}
+        assert scans == [10, 11, 5]
+    verify_partition("rec3_1", 5, 3)
+    assert scans == [10, 11, 5, 5]
+    scans.clear()
+    with partition_scan("thm1_4", 8):
+        for n in range(3, 9):
+            verify_partition("thm1_4", n)
+    assert sorted(scans) == [n - 1 for n in range(2, 10)]  # pinned levels 2..9, once each
+
+
+def test_partition_scan_argument_errors_and_cap():
     with pytest.raises(DomainError):
-        partition_reports("nope", 5)
-    with pytest.raises(DomainError):
-        partition_reports("rec3_1", 5)
-    with pytest.raises(DomainError):
-        partition_reports("thm1_4", 5, 3)
-    with pytest.raises(SizeLimitError):
-        partition_reports("thm1_1", 24)
-    with pytest.raises(SizeLimitError):
-        partition_reports("thm1_4", 10**9)
+        with partition_scan("nope", 5):
+            pass
+    with partition_scan("thm1_1", 30):  # nothing read, nothing scanned
+        pass
+    with partition_scan("thm1_1", 30):
+        with pytest.raises(SizeLimitError):
+            verify_partition("thm1_1", 5)  # the shared scan of {1..31} is refused
+    with partition_scan("rec3_1", 8):
+        with pytest.raises(DomainError):
+            verify_partition("rec3_1", 5)  # arguments are checked as outside
 
 
 @pytest.mark.parametrize(
@@ -297,5 +321,5 @@ def test_a_broken_mask_map_is_caught_with_the_first_witness_in_enum_order(
     assert "outside the codomain" in report.first_violation[1]
     domain = _reference_images(kind, n, k)[-1][0]
     assert witness == next(F for F in domain if len(F) >= 2)
-    n_top, k_top = (n, k) if kind == "rec3_1" else (n, None)
-    assert partition_reports(kind, n_top, k_top)[-1] == report
+    with partition_scan(kind, n + 2):
+        assert verify_partition(kind, n, k) == report
