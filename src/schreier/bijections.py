@@ -28,10 +28,8 @@ those of {1..n} are the prefix below 2**n, or the pinned levels.  It
 applies the mask maps and tests four independent flags (well-definedness,
 injectivity, disjointness of the two images, exact cover of the codomain)
 as set operations.  All four flags true is precisely the claimed partition.
-Only when one fails are the levels built as FiniteSets, for
-``_check_partition`` to set the flags and pick the first violation
-deterministically in enumeration order; domain errors raised by a map
-surface there as well-definedness failures, never as silent skips.
+Only when one fails are the domains and the codomain sorted into
+enumeration order, to name the first violation of the first failing flag.
 Inside a ``partition_scan(kind, n_top)`` block, the checks at every level
 up to n_top share one scan: {1..n_top+1} for thm1_1, {1..n_top} for
 rec3_1, each pinned level once for thm1_4.
@@ -49,8 +47,8 @@ from .enumeration import (
     _a_candidate_masks,
     _a_member_masks,
     _k_member_masks,
-    _members_in_order,
     _set_of,
+    enum_order_key,
     require_scan_within_cap,
 )
 from .errors import DomainError
@@ -186,81 +184,43 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
 # -- partition verification ---------------------------------------------------
 
 
-def _apply_in_order(
-    domain: list[FiniteSet], fn: Callable[[FiniteSet], FiniteSet]
-) -> tuple[list[tuple[FiniteSet, FiniteSet]], Optional[tuple[FiniteSet, str]]]:
-    """Apply fn over the domain in EnumOrder; a raised DomainError becomes
-    the violation witness instead of propagating."""
-    pairs = []
-    for F in domain:
-        try:
-            pairs.append((F, fn(F)))
-        except DomainError as exc:
-            return pairs, (F, f"map failed: {exc}")
-    return pairs, None
+def _enum_key(m: int) -> tuple[int, tuple[int, ...]]:
+    """EnumOrder on masks: the order of the sets they stand for."""
+    return enum_order_key(_set_of(m))
 
 
-def _check_partition(
-    map_name: str,
-    n: int,
-    k: Optional[int],
-    part1: tuple[list[FiniteSet], Callable[[FiniteSet], FiniteSet]],
-    part2: tuple[list[FiniteSet], Callable[[FiniteSet], FiniteSet]],
-    codomain: list[FiniteSet],
-) -> BijectionReport:
-    violations: list[tuple[FiniteSet, str]] = []
-    codomain_set = set(codomain)
-
-    applied = []
-    well_defined = True
-    for dom, fn in (part1, part2):
-        pairs, err = _apply_in_order(dom, fn)
-        applied.append(pairs)
-        if err is not None:
-            well_defined = False
-            violations.append(err)
-        for F, image in pairs:
-            if image not in codomain_set:
-                well_defined = False
-                violations.append((F, f"image {image} outside the codomain"))
+def _violations(
+    parts: tuple[tuple[list[int], Callable[[int], int]], ...],
+    targets: set[int],
+    images1: set[int],
+    covered: set[int],
+) -> Iterator[tuple[FiniteSet, str]]:
+    """Yield the first violation of each flag in turn: an image outside the
+    codomain, a repeated image, an image of both maps, an uncovered target,
+    each domain and the codomain read in EnumOrder.  A flag that holds
+    yields nothing, so the first item names the first failing flag."""
+    ordered = [(sorted(dom, key=_enum_key), fn) for dom, fn in parts]
+    for dom, fn in ordered:
+        for m in dom:
+            if fn(m) not in targets:
+                yield _set_of(m), f"image {_set_of(fn(m))} outside the codomain"
                 break
-
-    injective = True
-    for pairs in applied:
-        seen: dict[FiniteSet, FiniteSet] = {}
-        for F, image in pairs:
+    for dom, fn in ordered:
+        seen: dict[int, int] = {}
+        for m in dom:
+            image = fn(m)
             if image in seen:
-                injective = False
-                violations.append((F, f"image {image} repeats that of {seen[image]}"))
+                yield _set_of(m), f"image {_set_of(image)} repeats that of {_set_of(seen[image])}"
                 break
-            seen[image] = F
-
-    disjoint = True
-    images1 = {image for _, image in applied[0]}
-    for F, image in applied[1]:
-        if image in images1:
-            disjoint = False
-            violations.append((F, f"image {image} also produced by the first map"))
+            seen[image] = m
+    dom2, fn2 = ordered[1]
+    for m in dom2:
+        if fn2(m) in images1:
+            yield _set_of(m), f"image {_set_of(fn2(m))} also produced by the first map"
             break
-
-    surjective = True
-    covered = images1 | {image for _, image in applied[1]}
-    for target in codomain:
-        if target not in covered:
-            surjective = False
-            violations.append((target, "not covered by either image"))
-            break
-
-    return BijectionReport(
-        map_name=map_name,
-        n=n,
-        k=k,
-        well_defined=well_defined,
-        injective=injective,
-        surjective=surjective,
-        disjoint=disjoint,
-        first_violation=violations[0] if violations else None,
-    )
+    uncovered = targets - covered
+    if uncovered:
+        yield _set_of(min(uncovered, key=_enum_key)), "not covered by either image"
 
 
 def _check_masks(
@@ -271,36 +231,25 @@ def _check_masks(
     part2: tuple[list[int], Callable[[int], int]],
     codomain: list[int],
 ) -> BijectionReport:
-    """Check one partition on masks.  The images are sets of masks, and the
-    partition holds when each has as many members as its domain, both lie
-    in the codomain, they are disjoint and together as large as it.  Only
-    when it does not hold are the levels built as FiniteSets in EnumOrder,
-    for ``_check_partition`` to set the flags and find the first violation.
-    """
+    """Check one partition on masks.  Each flag is one set operation on the
+    images: both lie in the codomain (well-defined), each has as many
+    members as its domain (injective), they are disjoint, and together they
+    cover the codomain (surjective).  Only when one fails are the domains
+    and the codomain sorted into EnumOrder, to name the first violation."""
     (dom1, fn1), (dom2, fn2) = part1, part2
     images1, images2 = set(map(fn1, dom1)), set(map(fn2, dom2))
     targets = set(codomain)
-    if (
-        len(images1) == len(dom1)
-        and len(images2) == len(dom2)
-        and images1 <= targets
-        and images2 <= targets
-        and images1.isdisjoint(images2)
-        and len(images1) + len(images2) == len(targets)
-    ):
-        return BijectionReport(map_name, n, k, True, True, True, True)
-
-    def lift(fn: Callable[[int], int]) -> Callable[[FiniteSet], FiniteSet]:
-        return lambda F: _set_of(fn(_mask_of(F)))
-
-    return _check_partition(
-        map_name,
-        n,
-        k,
-        (_members_in_order(dom1), lift(fn1)),
-        (_members_in_order(dom2), lift(fn2)),
-        _members_in_order(codomain),
+    covered = images1 | images2
+    flags = (
+        images1 <= targets and images2 <= targets,
+        len(images1) == len(dom1) and len(images2) == len(dom2),
+        targets <= covered,
+        images1.isdisjoint(images2),
     )
+    violation = None
+    if not all(flags):
+        violation = next(_violations((part1, part2), targets, images1, covered))
+    return BijectionReport(map_name, n, k, *flags, violation)
 
 
 def _require_partition_cap(kind: str, n: int, what: str) -> None:

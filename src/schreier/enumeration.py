@@ -2,6 +2,12 @@
 
 Each family has two routes, and they check each other.
 
+Families A and K follow one rule, the paper's: E is a member when min E
+exceeds its weight |E \\ S|, the number of its elements outside a zero-weight
+set S, here a mask z.  A(k, n) is z = {k} over {1..n}; K(n) is z = {2, 3},
+with the maximum pinned at n and |E| != 2.  ``_zero_weight_masks`` is the
+one mask test of the rule and ``_counts_by_min`` its one count by minimum.
+
 The oracle is a naive mask scan: it visits every subset of the universe by
 bitmask and tests the defining inequality directly, so it is the independent
 ground truth for the closed forms and for the structured route.  Family A's
@@ -135,35 +141,36 @@ def _a_candidate_masks(n: int, what: str) -> list[int]:
     return [m for m in range(1, 1 << n) if (m & -m).bit_length() >= m.bit_count()]
 
 
+def _zero_weight_masks(z: int, masks: Iterable[int]) -> list[int]:
+    """Keep, in order, the masks whose min exceeds their weight: the number
+    of their elements outside the zero-weight set z.  The empty mask fails
+    the test, so it is never kept."""
+    weighted = ~z
+    return [m for m in masks if (m & -m).bit_length() > (m & weighted).bit_count()]
+
+
 def _a_member_masks(k: int, candidates: list[int]) -> list[int]:
-    """Keep the members among the candidates by the raw definition: the
-    empty set, and each set whose min exceeds its weight."""
-    kshift = k - 1
-    return [0] + [
-        m
-        for m in candidates
-        if (m & -m).bit_length() > m.bit_count() - ((m >> kshift) & 1)
-    ]
+    """Keep the members of the weight-k family among the candidates, by the
+    raw definition with z = {k}: the empty set, and each set whose min
+    exceeds its weight."""
+    return [0] + _zero_weight_masks(1 << (k - 1), candidates)
 
 
-def _a_counts_by_min(k: int, n: int) -> Iterator[int]:
-    """Yield the sizes of the partition of the family by minimum: the empty
-    set, then the members with min element m for each m = 1..n.
+def _counts_by_min(z: int, n: int) -> Iterator[int]:
+    """Yield the sizes of the partition by minimum of the zero-weight-z
+    family over {1..n}: the empty set, then the members with min element m
+    for each m = 1..n.
 
-    A nonempty member with min element m consists of m, possibly k, and t
-    further elements drawn from {m+1..n} minus {k}; admissibility caps t at
-    m-2 (m-1 when k = m, since k contributes nothing to the weight).
+    A member with min m holds any of the u elements of z in {m+1..n} and t
+    of the other n - m - u elements there; its weight [m not in z] + t must
+    stay below m, which caps t at m - 1 - [m not in z].
     """
     yield 1  # the empty set
     for m in range(1, n + 1):
-        if m == k:
-            avail = n - m
-            yield sum(binom(avail, t) for t in range(0, min(m - 1, avail) + 1))
-            continue
-        k_inside = m < k <= n
-        avail = (n - m) - (1 if k_inside else 0)
-        ways = sum(binom(avail, t) for t in range(0, min(m - 2, avail) + 1))
-        yield 2 * ways if k_inside else ways
+        u = ((z >> m) & ((1 << (n - m)) - 1)).bit_count()
+        avail = n - m - u
+        cap = m - 2 + ((z >> (m - 1)) & 1)
+        yield sum(binom(avail, t) for t in range(min(cap, avail) + 1)) << u
 
 
 def _iter_a_structured(k: int, n: int) -> Iterator[FiniteSet]:
@@ -231,7 +238,7 @@ def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
     """
     _require_a_domain(k, n, "stream_family_a")
     count = require_within_cap(
-        _a_counts_by_min(k, n), f"stream_family_a: members of A({k}, {n})"
+        _counts_by_min(1 << (k - 1), n), f"stream_family_a: members of A({k}, {n})"
     )
     return count, _iter_a_structured(k, n)
 
@@ -303,15 +310,11 @@ def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
 
 def _k_member_masks(n: int, what: str) -> list[int]:
     """Scan the 2**(n-1) subsets of {1..n} with maximum n and keep, in
-    ascending order, those of size != 2 whose min exceeds the weight that
-    zero-rates 2 and 3."""
+    ascending order, those whose min exceeds their weight with z = {2, 3},
+    then drop those of size 2."""
     require_scan_within_cap(n - 1, what)
-    return [
-        m
-        for m in range(1 << (n - 1), 1 << n)
-        if m.bit_count() != 2
-        and (m & -m).bit_length() > m.bit_count() - ((m >> 1) & 1) - ((m >> 2) & 1)
-    ]
+    level = _zero_weight_masks(0b110, range(1 << (n - 1), 1 << n))
+    return [m for m in level if m.bit_count() != 2]
 
 
 def enumerate_family_k(n: int) -> list[FiniteSet]:

@@ -149,6 +149,8 @@ def in_weighted_family(E: FiniteSet, k: int) -> bool:
 def in_family_a(E: FiniteSet, k: int, n: int) -> bool:
     """Membership in the bounded weight-k family: weight-admissible with
     max E <= n (empty set included)."""
+    if k < 1:
+        raise DomainError(f"in_family_a: k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"in_family_a: n must be >= 1, got {n}")
     if E.is_empty():

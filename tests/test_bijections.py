@@ -5,7 +5,7 @@ import pytest
 from schreier import bijections, enumeration
 from schreier.bijections import (
     BijectionReport,
-    _check_partition,
+    _check_masks,
     column_shift,
     diag_shift,
     diag_swap,
@@ -127,50 +127,50 @@ def test_verify_partition_size_caps():
         verify_partition("thm1_4", 10**9)
 
 
-def _tiny(*sets):
-    return [FiniteSet.from_iterable(s) for s in sets]
+def _masks(*sets):
+    return [bijections._mask_of(FiniteSet.of(*s)) for s in sets]
 
 
-def test_check_partition_flags_overlap_and_gaps():
-    # identity maps with overlapping images: disjointness must fail and the
-    # uncovered codomain member must be reported.
-    dom = _tiny({1}, {2})
-    codom = _tiny({1}, {2}, {3})
-    report = _check_partition(
-        "broken", 0, None, (dom, lambda F: F), (dom, lambda F: F), codom
+def _identity(m):
+    return m
+
+
+def _flags(report):
+    return report.well_defined, report.injective, report.surjective, report.disjoint
+
+
+def test_check_masks_names_an_image_outside_the_codomain():
+    # {1,2} comes first by mask, {3} in EnumOrder
+    dom = _masks((1, 2), (3,))
+    report = _check_masks("broken", 0, None, ([], _identity), (dom, lambda m: m | 1 << 5), dom)
+    assert isinstance(report, BijectionReport) and not report.ok
+    assert _flags(report) == (False, True, False, True)
+    assert report.first_violation == (FiniteSet.of(3), "image {3,6} outside the codomain")
+
+
+def test_check_masks_names_a_repeated_image():
+    # EnumOrder reads {1}, {1,4}, {2,3}; mask order reads {1}, {2,3}, {1,4}
+    dom = _masks((2, 3), (1, 4), (1,))
+    report = _check_masks("broken", 0, None, (dom, lambda m: 1), ([], _identity), _masks((1,)))
+    assert _flags(report) == (True, False, True, True)
+    assert report.first_violation == (FiniteSet.of(1, 4), "image {1} repeats that of {1}")
+
+
+def test_check_masks_flags_overlap_and_gap_at_once():
+    # identity maps on the same domain: the images overlap and miss {1,2}
+    # and {5}; the overlap is named first, at {1,4} before {2,3}
+    dom = _masks((2, 3), (1, 4))
+    codom = _masks((1, 2), (2, 3), (1, 4), (5,))
+    report = _check_masks("broken", 0, None, (dom, _identity), (dom, _identity), codom)
+    assert _flags(report) == (True, True, False, False)
+    assert report.first_violation == (
+        FiniteSet.of(1, 4),
+        "image {1,4} also produced by the first map",
     )
-    assert isinstance(report, BijectionReport)
-    assert report.well_defined
-    assert report.injective
-    assert not report.disjoint
-    assert not report.surjective
-    assert not report.ok
-    assert report.first_violation is not None
-
-
-def test_check_partition_flags_bad_images_and_collisions():
-    dom = _tiny({1}, {2})
-    codom = _tiny({7},)
-    collapse = lambda F: FiniteSet.of(7)
-    outside = lambda F: FiniteSet.of(9)
-    report = _check_partition("broken", 0, None, (dom, collapse), ([], lambda F: F), codom)
-    assert not report.injective
-    report = _check_partition("broken", 0, None, ([], lambda F: F), (dom, outside), codom)
-    assert not report.well_defined
-    witness, reason = report.first_violation
-    assert witness == FiniteSet.of(1)
-    assert "outside" in reason
-
-
-def test_check_partition_reports_map_failures_not_skips():
-    def exploding(F):
-        raise DomainError("boom")
-
-    dom = _tiny({1})
-    report = _check_partition("broken", 0, None, (dom, exploding), ([], lambda F: F), dom)
-    assert not report.well_defined
-    assert report.first_violation[0] == FiniteSet.of(1)
-    assert "map failed" in report.first_violation[1]
+    # with the overlap gone, the gap is named at {5}, first in EnumOrder
+    report = _check_masks("broken", 0, None, (dom, _identity), ([], _identity), codom)
+    assert _flags(report) == (True, True, False, True)
+    assert report.first_violation == (FiniteSet.of(5), "not covered by either image")
 
 
 # -- the mask maps and the shared scan ----------------------------------------
@@ -323,3 +323,20 @@ def test_a_broken_mask_map_is_caught_with_the_first_witness_in_enum_order(
     assert witness == next(F for F in domain if len(F) >= 2)
     with partition_scan(kind, n + 2):
         assert verify_partition(kind, n, k) == report
+
+
+def test_a_colliding_mask_map_is_caught_with_the_first_witness_in_enum_order(monkeypatch):
+    # Sets of two or more elements go where the empty set goes, inside the
+    # codomain.  The witness is the first such member of A(8, 8) in
+    # EnumOrder, {2,8}, which is not the first in mask order ({3,4} there).
+    mask_map = bijections._diag_swap_mask
+
+    def colliding(m, n):
+        return mask_map(0 if m.bit_count() >= 2 else m, n)
+
+    monkeypatch.setattr(bijections, "_diag_swap_mask", colliding)
+    report = verify_partition("thm1_1", 8)
+    assert report.well_defined and not report.injective and not report.ok
+    assert report.first_violation == (FiniteSet.of(2, 8), "image {} repeats that of {}")
+    with partition_scan("thm1_1", 10):
+        assert verify_partition("thm1_1", 8) == report

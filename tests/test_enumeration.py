@@ -1,9 +1,11 @@
 """Oracles and structured routes: enumeration order, counts, size caps."""
 
+from collections import Counter
+
 import pytest
 
 from schreier import enumeration
-from schreier.closed_forms import ratio_recurrence
+from schreier.closed_forms import family_k_count, ratio_recurrence
 from schreier.core import binom, fib
 from schreier.enumeration import (
     count_family_a,
@@ -20,7 +22,7 @@ from schreier.enumeration import (
     stream_ratio_family,
 )
 from schreier.errors import DomainError, SizeLimitError
-from schreier.finite_sets import FiniteSet, in_family_a, in_family_k
+from schreier.finite_sets import FiniteSet, in_family_a, in_family_k, weight
 
 
 def canon(members):
@@ -50,8 +52,8 @@ def test_enumeration_is_in_canonical_order():
 
 
 def test_count_strategies_agree_with_enumeration():
-    for k in range(1, 10):
-        for n in range(1, 13):
+    for n in range(1, 13):
+        for k in range(1, n + 3):
             naive = count_family_a(k, n)
             enum_naive = len(enumerate_family_a(k, n))
             count, members = stream_family_a(k, n)
@@ -170,6 +172,30 @@ def test_stream_counts_match_the_recurrences():
         members = list(members)
         assert count == len(members)
         assert members == sorted(members, key=enum_order_key)
+
+
+def test_counts_by_min_follow_the_zero_weight_rule():
+    # Part by part against the literal definition, min E > weight(E, S), for
+    # every zero-weight set S in {1..8} and every universe {1..n}, n <= 10.
+    subsets = [FiniteSet()]
+    for n in range(1, 11):
+        subsets += [FiniteSet(E.elements + (n,)) for E in subsets]
+    for z in range(1 << 8):
+        S = enumeration._set_of(z)
+        by_max_min = Counter((E.max, E.min) for E in subsets[1:] if E.min > weight(E, S))
+        for n in range(1, 11):
+            want = [1] + [
+                sum(by_max_min[top, m] for top in range(m, n + 1)) for m in range(1, n + 1)
+            ]
+            assert list(enumeration._counts_by_min(z, n)) == want, (S, n)
+
+
+def test_family_k_is_the_zero_weight_family_of_two_and_three():
+    # K(n) is the members of A_{2,3} with maximum n, less the n - 2 sets
+    # {x, n} with 1 < x < n (each a member there, none in K).
+    a23 = [sum(enumeration._counts_by_min(0b110, n)) for n in range(301)]
+    for n in range(3, 301):
+        assert a23[n] - a23[n - 1] - (n - 2) == family_k_count(n), n
 
 
 def test_schreier_ratio_case_is_classical():

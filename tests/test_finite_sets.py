@@ -123,6 +123,12 @@ def test_in_family_a_bounds():
     assert in_family_a(EMPTY, 5, 1)
     with pytest.raises(DomainError):
         in_family_a(EMPTY, 1, 0)
+    # k is checked before the empty set is admitted, as for any other set
+    for k in (0, -7):
+        with pytest.raises(DomainError):
+            in_family_a(EMPTY, k, 5)
+    with pytest.raises(DomainError):
+        in_family_a(FiniteSet.of(3), 0, 5)
 
 
 def test_in_family_k_examples():
