@@ -268,6 +268,7 @@ class _Scans:
         self.kind = kind
         self.n_top = n_top
         self.what = f"partitions {kind}"
+        self.universe = n_top + 1 if kind == "thm1_1" else n_top
         self.candidates: Optional[list[int]] = None
         self.rows: dict[int, list[int]] = {}
         self.pinned: dict[int, list[int]] = {}
@@ -276,10 +277,9 @@ class _Scans:
         """The members of A(k, n) as ascending masks: a prefix of the
         members among all the candidates."""
         if self.candidates is None:
-            universe = self.n_top + 1 if self.kind == "thm1_1" else self.n_top
-            self.candidates = _a_candidate_masks(universe, self.what)
+            self.candidates = _a_candidate_masks(self.universe, self.what)
         if k not in self.rows:
-            self.rows[k] = _a_member_masks(k, self.candidates)
+            self.rows[k] = _a_member_masks(k, self.universe, self.candidates)
         return self.rows[k][: bisect_left(self.rows[k], 1 << n)]
 
     def family_k(self, n: int) -> list[int]:

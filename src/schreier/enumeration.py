@@ -4,9 +4,11 @@ Each family has two routes, and they check each other.
 
 Families A and K follow one rule, the paper's: E is a member when min E
 exceeds its weight |E \\ S|, the number of its elements outside a zero-weight
-set S, here a mask z.  A(k, n) is z = {k} over {1..n}; K(n) is z = {2, 3},
-with the maximum pinned at n and |E| != 2.  ``_zero_weight_masks`` is the
-one mask test of the rule and ``_counts_by_min`` its one count by minimum.
+set S.  A(k, n) is S = {k} over {1..n}; K(n) is S = {2, 3}, with the maximum
+pinned at n and |E| != 2.  ``_zero_weight_masks`` is the one mask test of
+the rule and ``_counts_by_min`` its one count by minimum.  Both take S as
+its elements, so their cost follows |S| and the universe, never the size of
+an element of S: k = 10**12 costs what k = n + 1 does.
 
 The oracle is a naive mask scan: it visits every subset of the universe by
 bitmask and tests the defining inequality directly, so it is the independent
@@ -141,35 +143,37 @@ def _a_candidate_masks(n: int, what: str) -> list[int]:
     return [m for m in range(1, 1 << n) if (m & -m).bit_length() >= m.bit_count()]
 
 
-def _zero_weight_masks(z: int, masks: Iterable[int]) -> list[int]:
-    """Keep, in order, the masks whose min exceeds their weight: the number
-    of their elements outside the zero-weight set z.  The empty mask fails
+def _zero_weight_masks(S: tuple[int, ...], n: int, masks: Iterable[int]) -> list[int]:
+    """Keep, in order, the masks of subsets of {1..n} whose min exceeds
+    their weight: the number of their elements outside the zero-weight set
+    S.  Only S's elements within {1..n} enter the mask.  The empty mask fails
     the test, so it is never kept."""
-    weighted = ~z
+    weighted = ~sum(1 << (s - 1) for s in S if 1 <= s <= n)
     return [m for m in masks if (m & -m).bit_length() > (m & weighted).bit_count()]
 
 
-def _a_member_masks(k: int, candidates: list[int]) -> list[int]:
-    """Keep the members of the weight-k family among the candidates, by the
-    raw definition with z = {k}: the empty set, and each set whose min
-    exceeds its weight."""
-    return [0] + _zero_weight_masks(1 << (k - 1), candidates)
+def _a_member_masks(k: int, n: int, candidates: list[int]) -> list[int]:
+    """Keep the members of the weight-k family among the candidates, subsets
+    of {1..n}, by the raw definition with S = {k}: the empty set, and each
+    set whose min exceeds its weight."""
+    return [0] + _zero_weight_masks((k,), n, candidates)
 
 
-def _counts_by_min(z: int, n: int) -> Iterator[int]:
-    """Yield the sizes of the partition by minimum of the zero-weight-z
+def _counts_by_min(S: tuple[int, ...], n: int) -> Iterator[int]:
+    """Yield the sizes of the partition by minimum of the zero-weight-S
     family over {1..n}: the empty set, then the members with min element m
     for each m = 1..n.
 
-    A member with min m holds any of the u elements of z in {m+1..n} and t
-    of the other n - m - u elements there; its weight [m not in z] + t must
-    stay below m, which caps t at m - 1 - [m not in z].
+    A member with min m holds any of the u elements of S in {m+1..n} and t
+    of the other n - m - u elements there; its weight [m not in S] + t must
+    stay below m, which caps t at m - 1 - [m not in S].  Each part costs
+    O(|S|) besides its binomials, whatever n and the elements of S are.
     """
     yield 1  # the empty set
     for m in range(1, n + 1):
-        u = ((z >> m) & ((1 << (n - m)) - 1)).bit_count()
+        u = sum(m < s <= n for s in S)
         avail = n - m - u
-        cap = m - 2 + ((z >> (m - 1)) & 1)
+        cap = m - 1 if m in S else m - 2
         yield sum(binom(avail, t) for t in range(min(cap, avail) + 1)) << u
 
 
@@ -200,7 +204,7 @@ def count_family_a(k: int, n: int) -> int:
     """Count the bounded weight-k family over {1..n}, empty set included, by
     scanning all 2**n subsets (the oracle for ``stream_family_a``'s count)."""
     _require_a_domain(k, n, "count_family_a")
-    return len(_a_member_masks(k, _a_candidate_masks(n, "count_family_a")))
+    return len(_a_member_masks(k, n, _a_candidate_masks(n, "count_family_a")))
 
 
 def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
@@ -223,7 +227,7 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     grid = []
     for k in range(1, k_max + 1):
         by_max = [0] * (n_max + 1)
-        for m in _a_member_masks(k, candidates):
+        for m in _a_member_masks(k, n_max, candidates):
             by_max[m.bit_length()] += 1
         grid.append(list(itertools.accumulate(by_max))[1:])
     return grid
@@ -238,7 +242,7 @@ def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
     """
     _require_a_domain(k, n, "stream_family_a")
     count = require_within_cap(
-        _counts_by_min(1 << (k - 1), n), f"stream_family_a: members of A({k}, {n})"
+        _counts_by_min((k,), n), f"stream_family_a: members of A({k}, {n})"
     )
     return count, _iter_a_structured(k, n)
 
@@ -248,7 +252,7 @@ def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
     scanning all 2**n subsets (the oracle for ``stream_family_a``)."""
     _require_a_domain(k, n, "enumerate_family_a")
     return _members_in_order(
-        _a_member_masks(k, _a_candidate_masks(n, "enumerate_family_a"))
+        _a_member_masks(k, n, _a_candidate_masks(n, "enumerate_family_a"))
     )
 
 
@@ -310,10 +314,10 @@ def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
 
 def _k_member_masks(n: int, what: str) -> list[int]:
     """Scan the 2**(n-1) subsets of {1..n} with maximum n and keep, in
-    ascending order, those whose min exceeds their weight with z = {2, 3},
+    ascending order, those whose min exceeds their weight with S = {2, 3},
     then drop those of size 2."""
     require_scan_within_cap(n - 1, what)
-    level = _zero_weight_masks(0b110, range(1 << (n - 1), 1 << n))
+    level = _zero_weight_masks((2, 3), n, range(1 << (n - 1), 1 << n))
     return [m for m in level if m.bit_count() != 2]
 
 

@@ -109,6 +109,11 @@ def test_enumerate_family_a_formats(capsys):
     assert code == 0
     assert out == '{"family":"A","k":2,"n":3,"count":4,"sets":[[],[2],[3],[2,3]]}\n'
 
+    # A k past n weighs like none, however many bits it has.
+    code, out, _ = main_out(capsys, ["enumerate", "--family", "A", "--k", str(10**12), "--n", "5"])
+    assert code == 0
+    assert len(out.splitlines()) == 8
+
 
 def test_enumerate_family_k(capsys):
     code, out, _ = main_out(capsys, ["enumerate", "--family", "K", "--n", "5"])
@@ -406,6 +411,8 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
     for argv in (
         ["enumerate", "--family", "A", "--k", "1", "--n", "36"],
         ["enumerate", "--family", "A", "--k", "1", "--n", "1000000"],
+        ["enumerate", "--family", "A", "--k", "1", "--n", str(10**12)],
+        ["enumerate", "--family", "A", "--k", str(10**12), "--n", str(10**12)],
         ["enumerate", "--family", "K", "--n", "38"],
         ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", "37"],
         ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", str(10**12)],
