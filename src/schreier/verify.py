@@ -10,6 +10,11 @@ Each suite scans an oracle once for all of its levels: the partition checks
 run level by level inside one ``partition_scan``, so they read one scan of
 the largest universe their range needs (each pinned level once for thm1_4),
 and mpq reads all nine (p, q) counts of a level off one ``ratio_tally``.
+thm1_1 reads every a(n, n) off one scan of family A's candidates: those of
+{1..n} are the prefix below 2**n.  eq1_2 tests the oracle's own mask rule
+against the Schreier classes worked out from the bits of every subset of
+its universe, one whole row of masks per k; only a row that differs is
+searched, for the first failing (E, k) with E outside and k inside.
 ``all`` runs every suite once: the eq3_10 and eq1_2 reports that identities
 includes are served from the runs ``all`` has just made whenever their
 ranges are the same.
@@ -22,6 +27,7 @@ default seed below, so failures reproduce; the seed can be overridden.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -40,17 +46,21 @@ from .closed_forms import (
 )
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
+    _a_candidate_masks,
+    _a_member_masks,
+    _set_of,
     count_family_a,
     count_family_a_grid,
     count_in_tally,
     enumerate_family_k,
     ratio_tally,
     require_scan_within_cap,
+    require_within_cap,
     stream_family_a,
     stream_family_k,
 )
 from .errors import DomainError
-from .finite_sets import FiniteSet, SchreierClass, classify, in_weighted_family
+from .finite_sets import FiniteSet
 from .partial_sums import (
     fib_partial_sum_closed,
     iterated_partial_sum,
@@ -80,6 +90,11 @@ class Report:
         return line
 
 
+def _mismatch(desc: str, got: object, want: object) -> str:
+    """How a report names its first failing instance."""
+    return f"{desc}: got {got}, expected {want}"
+
+
 def _run_checks(
     identity: str, params: str, cases: Iterable[tuple]
 ) -> Report:
@@ -90,7 +105,7 @@ def _run_checks(
     for desc, got, want in cases:
         checks += 1
         if failure is None and got != want:
-            failure = f"{desc}: got {got}, expected {want}"
+            failure = _mismatch(desc, got, want)
     if checks == 0:
         failure = "no instance in range"
     return Report(identity, params, failure is None, checks, failure)
@@ -105,7 +120,14 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     part_top = n_max if n_max is not None else 16
     # The partition at level n scans the (n+1)-diagonal.
     require_scan_within_cap(max(enum_top, part_top + 1), "suite thm1_1")
-    grid = count_family_a_grid(enum_top, enum_top)
+    # One scan of {1..enum_top}; the candidates of {1..n} are those below
+    # 2**n.  It is dropped before the double sums grow their own table.
+    candidates = _a_candidate_masks(enum_top, "suite thm1_1")
+    diagonal = [
+        len(_a_member_masks(n, n, candidates[: bisect_left(candidates, 1 << n)]))
+        for n in range(1, enum_top + 1)
+    ]
+    del candidates
     with partition_scan("thm1_1", part_top):
         partition = _run_checks(
             "diagonal-partition",
@@ -120,7 +142,7 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
             "diagonal-count-vs-enumeration",
             f"n=1..{enum_top}",
             (
-                (f"n={n}", grid[n - 1][n - 1], diagonal_count(n))
+                (f"n={n}", diagonal[n - 1], diagonal_count(n))
                 for n in range(1, enum_top + 1)
             ),
         ),
@@ -457,22 +479,36 @@ def suite_eq1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     universe = n_max if n_max is not None else 14
     k_top = k_max if k_max is not None else 10
     require_scan_within_cap(universe, "suite eq1_2")
+    checks = require_within_cap(
+        (k_top << universe,), f"suite eq1_2: {k_top} x 2^{universe} membership checks"
+    )
+    # The decomposition, read off the bits: the empty set and the
+    # nonmaximal sets (min > size) are members for every k, a maximal set
+    # (min = size) for the k it holds.
+    settled, maximal = {0}, []
+    for m in range(1, 1 << universe):
+        low, size = (m & -m).bit_length(), m.bit_count()
+        if low > size:
+            settled.add(m)
+        elif low == size:
+            maximal.append(m)
 
-    def cases():
-        for mask in range(1 << universe):
-            E = FiniteSet(tuple(i + 1 for i in range(universe) if (mask >> i) & 1))
-            cls = classify(E)
-            settled = cls in (SchreierClass.EMPTY, SchreierClass.NONMAXIMAL)
-            shown = str(E)
-            for k in range(1, k_top + 1):
-                expected = settled or (cls is SchreierClass.MAXIMAL and k in E)
-                yield (f"k={k} E={shown}", in_weighted_family(E, k), expected)
-
+    # Each k compares the oracle's whole row with the decomposition's; a
+    # row that differs offers its least mask, and the least (mask, k) is the
+    # first failure with E outside and k inside.
+    first, failure = 1 << universe, None
+    for k in range(1, k_top + 1):
+        got = set(_a_member_masks(k, universe, range(1, 1 << universe)))
+        want = settled.union(m for m in maximal if m >> (k - 1) & 1)
+        if got != want and (m := min(got ^ want)) < first:
+            first, failure = m, _mismatch(f"k={k} E={_set_of(m)}", m in got, m in want)
     return [
-        _run_checks(
+        Report(
             "weighted-family-decomposition",
             f"k=1..{k_top}, E within {{1..{universe}}}",
-            cases(),
+            failure is None,
+            checks,
+            failure,
         )
     ]
 

@@ -21,6 +21,7 @@ from schreier.verify import SUITE_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
+VERIFY_SMALL_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all_small.txt"
 
 
 def run_cli(args):
@@ -320,6 +321,14 @@ def test_verify_all_matches_golden_file():
     assert result.stdout == VERIFY_GOLDEN.read_bytes()
 
 
+def test_verify_all_with_range_overrides_matches_golden_file():
+    # The overrides move thm1_1's scan and eq1_2's universe and k range off
+    # their defaults.
+    result = run_cli(["verify", "--suite", "all", "--n-max", "10", "--k-max", "4"])
+    assert result.returncode == 0
+    assert result.stdout == VERIFY_SMALL_GOLDEN.read_bytes()
+
+
 def test_verify_identities_forwards_k_max_to_both_included_suites(capsys):
     code, out, _ = main_out(capsys, ["verify", "--suite", "identities", "--k-max", "3"])
     assert code == 0
@@ -417,6 +426,8 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
         ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", "37"],
         ["enumerate", "--family", "mpq", "--p", "1", "--q", "1", "--n", str(10**12)],
         ["verify", "--suite", "eq1_2", "--n-max", "25"],
+        # eq1_2 makes 2^n membership checks for each k.
+        ["verify", "--suite", "eq1_2", "--n-max", "5", "--k-max", str(10**12)],
         # Each suite checks its largest scan before its first one.
         ["verify", "--suite", "thm1_4", "--n-max", "25"],
         ["verify", "--suite", "thm1_1", "--n-max", "24"],

@@ -137,6 +137,27 @@ def test_thm1_4_scans_each_pinned_level_at_most_twice(monkeypatch):
     assert built == list(range(2, 24))
 
 
+def test_thm1_1_reads_its_diagonal_off_one_scan(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite("thm1_1"))
+    assert scans == [(22, "suite thm1_1"), (17, "partitions thm1_1")]
+
+
+def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
+    # The oracle's weight rule with >= in place of >: {1} then joins the
+    # weight-2 family although it is maximal and does not hold 2.
+    def broken(S, n, masks):
+        weighted = ~sum(1 << (s - 1) for s in S if 1 <= s <= n)
+        return [m for m in masks if (m & -m).bit_length() >= (m & weighted).bit_count()]
+
+    monkeypatch.setattr(enumeration, "_zero_weight_masks", broken)
+    [report] = run_suite("eq1_2")
+    assert report.render() == (
+        "FAIL weighted-family-decomposition [k=1..10, E within {1..14}] "
+        "(163840 checks): first counterexample k=2 E={1}: got True, expected False"
+    )
+
+
 @pytest.mark.parametrize("suite, kind", [("thm1_1", "thm1_1"), ("rec3_1", "rec3_1")])
 def test_family_a_partitions_read_one_scan(monkeypatch, suite, kind):
     scans = _record_scans(monkeypatch)
