@@ -27,7 +27,6 @@ from .bijections import (
     column_shift,
     diag_shift,
     diag_swap,
-    partition_scan,
     shift_by_one,
     two_level_step,
     verify_partition,
@@ -42,6 +41,7 @@ from .enumeration import (
     enumerate_family_k,
     enumerate_ratio_family,
     oracle_cap,
+    scan_once,
     stream_family_a,
     stream_family_k,
     stream_ratio_family,
@@ -101,11 +101,11 @@ __all__ = [
     "in_weighted_family",
     "iterated_partial_sum",
     "oracle_cap",
-    "partition_scan",
     "ratio_recurrence",
     "recurrence_table",
     "repeated_partial_sum",
     "run_suite",
+    "scan_once",
     "seeded_partial_sum",
     "shift_by_one",
     "stream_family_a",

@@ -30,16 +30,14 @@ injectivity, disjointness of the two images, exact cover of the codomain)
 as set operations.  All four flags true is precisely the claimed partition.
 Only when one fails are the domains and the codomain sorted into
 enumeration order, to name the first violation of the first failing flag.
-Inside a ``partition_scan(kind, n_top)`` block, the checks at every level
-up to n_top share one scan: {1..n_top+1} for thm1_1, {1..n_top} for
-rec3_1, each pinned level once for thm1_4.
+A check reads its three levels inside ``enumeration.scan_once``, so each
+scan is made once; inside a caller's block, the checks of a whole range of
+levels share one scan of the largest universe they read (each pinned level
+once for thm1_4).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -50,6 +48,7 @@ from .enumeration import (
     _set_of,
     enum_order_key,
     require_scan_within_cap,
+    scan_once,
 )
 from .errors import DomainError
 from .finite_sets import FiniteSet, in_family_a, in_family_k
@@ -252,94 +251,9 @@ def _check_masks(
     return BijectionReport(map_name, n, k, *flags, violation)
 
 
-def _require_partition_cap(kind: str, n: int, what: str) -> None:
-    """The largest level a check at n reads, {1..n+1} or the pinned level
-    n + 1, has 2**(n+1) subsets for thm1_1 and 2**n for the others."""
-    require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"{what}: {kind}")
-
-
-class _Scans:
-    """The naive scans that the checks of one kind at levels up to n_top
-    read, each made once, when first needed: family A's candidates over the
-    largest universe those levels use, whose prefix below 2**n are the
-    candidates of {1..n}, and each pinned level."""
-
-    def __init__(self, kind: str, n_top: int) -> None:
-        self.kind = kind
-        self.n_top = n_top
-        self.what = f"partitions {kind}"
-        self.universe = n_top + 1 if kind == "thm1_1" else n_top
-        self.candidates: Optional[list[int]] = None
-        self.rows: dict[int, list[int]] = {}
-        self.pinned: dict[int, list[int]] = {}
-
-    def family_a(self, k: int, n: int) -> list[int]:
-        """The members of A(k, n) as ascending masks: a prefix of the
-        members among all the candidates."""
-        if self.candidates is None:
-            self.candidates = _a_candidate_masks(self.universe, self.what)
-        if k not in self.rows:
-            self.rows[k] = _a_member_masks(k, self.universe, self.candidates)
-        return self.rows[k][: bisect_left(self.rows[k], 1 << n)]
-
-    def family_k(self, n: int) -> list[int]:
-        """The members of the pinned level n as masks."""
-        if n not in self.pinned:
-            self.pinned[n] = _k_member_masks(n, self.what)
-        return self.pinned[n]
-
-    def check(self, n: int, k: Optional[int]) -> BijectionReport:
-        """Check the partition at level n (and k for rec3_1)."""
-        if self.kind == "thm1_1":
-            return _check_masks(
-                "diag_shift+diag_swap",
-                n,
-                None,
-                (self.family_a(n - 1, n - 1), lambda m: _diag_shift_mask(m, n)),
-                (self.family_a(n, n), lambda m: _diag_swap_mask(m, n)),
-                self.family_a(n + 1, n + 1),
-            )
-        if self.kind == "rec3_1":
-            return _check_masks(
-                "embed+column_shift",
-                n,
-                k,
-                (self.family_a(k, n - 1), lambda m: m),
-                (self.family_a(k - 1, n - 2), lambda m: _column_shift_mask(m, n)),
-                self.family_a(k, n),
-            )
-        return _check_masks(
-            "shift_by_one+two_level_step",
-            n,
-            None,
-            (self.family_k(n), _shift_by_one_mask),
-            (self.family_k(n - 1), lambda m: _two_level_step_mask(m, n)),
-            self.family_k(n + 1),
-        )
-
-
-# The scans shared inside a ``partition_scan`` block, and only there.
-_shared_scans: ContextVar[Optional[_Scans]] = ContextVar("shared_scans", default=None)
-
-
-@contextmanager
-def partition_scan(kind: str, n_top: int) -> Iterator[None]:
-    """Share one naive scan among the checks of a range of levels.
-
-    Inside the block, ``verify_partition(kind, n, k)`` at every level
-    n <= n_top reads the same scans: family A's candidates of {1..n_top+1}
-    for thm1_1 or {1..n_top} for rec3_1, and each pinned level once for
-    thm1_4.  The scans are made when first read, each checked against the
-    size cap then, and dropped when the block ends; a check of another kind
-    or at a higher level makes its own.
-    """
-    if kind not in PARTITION_KINDS:
-        raise DomainError(f"partition_scan: unknown kind {kind!r}")
-    token = _shared_scans.set(_Scans(kind, n_top))
-    try:
-        yield
-    finally:
-        _shared_scans.reset(token)
+def _family_a(k: int, n: int, what: str) -> list[int]:
+    """The members of A(k, n) as ascending masks, from the naive scan."""
+    return _a_member_masks(k, n, _a_candidate_masks(n, what))
 
 
 def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionReport:
@@ -352,12 +266,14 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
     ``two_level_step`` from level n - 1 partition the pinned family at
     level n + 1 (3 <= n <= 24).  The upper ends are the size cap on the
     largest level's scan, which is checked before any domain is scanned.
-    Inside a ``partition_scan`` block of this kind that reaches level n,
-    the domains and codomain come from its scans.
+    The three levels are read inside one ``scan_once`` block, so each scan
+    is made once, and inside a caller's block they read its scans.
     """
     if kind not in PARTITION_KINDS:
         raise DomainError(f"verify_partition: unknown kind {kind!r}")
-    _require_partition_cap(kind, n, "verify_partition")
+    # The largest level read, {1..n+1} or the pinned level n + 1, has
+    # 2**(n+1) subsets for thm1_1 and 2**n for the others.
+    require_scan_within_cap(n + 1 if kind == "thm1_1" else n, f"verify_partition: {kind}")
 
     if kind == "rec3_1":
         if k is None:
@@ -372,7 +288,31 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
         least = 2 if kind == "thm1_1" else 3
         if n < least:
             raise DomainError(f"verify_partition: {kind} needs n >= {least}, got {n}")
-    shared = _shared_scans.get()
-    if shared is not None and shared.kind == kind and n <= shared.n_top:
-        return shared.check(n, k)
-    return _Scans(kind, n).check(n, k)
+    what = f"partitions {kind}"
+    with scan_once():
+        if kind == "thm1_1":
+            return _check_masks(
+                "diag_shift+diag_swap",
+                n,
+                None,
+                (_family_a(n - 1, n - 1, what), lambda m: _diag_shift_mask(m, n)),
+                (_family_a(n, n, what), lambda m: _diag_swap_mask(m, n)),
+                _family_a(n + 1, n + 1, what),
+            )
+        if kind == "rec3_1":
+            return _check_masks(
+                "embed+column_shift",
+                n,
+                k,
+                (_family_a(k, n - 1, what), lambda m: m),
+                (_family_a(k - 1, n - 2, what), lambda m: _column_shift_mask(m, n)),
+                _family_a(k, n, what),
+            )
+        return _check_masks(
+            "shift_by_one+two_level_step",
+            n,
+            None,
+            (_k_member_masks(n, what), _shift_by_one_mask),
+            (_k_member_masks(n - 1, what), lambda m: _two_level_step_mask(m, n)),
+            _k_member_masks(n + 1, what),
+        )

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
 exceeded a size cap (candidate sets for a brute-force route, bits of values
-for a table or sequence).  A reader that closes stdout early (say,
+for a table or sequence) or ran out of memory.  A reader that closes stdout early (say,
 ``| head``) changes no exit code: the command stops writing, ``enumerate``
 exits 0, and ``verify`` still exits 1 on a counterexample.
 
@@ -309,6 +309,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except SizeLimitError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
+    except MemoryError:
+        print("schreier: out of memory", file=sys.stderr)
         return EXIT_SIZE_LIMIT
     except DomainError as exc:
         print(f"schreier: {exc}", file=sys.stderr)

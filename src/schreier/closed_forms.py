@@ -28,8 +28,9 @@ The ratio family count m(p, q, n) satisfies, for n >= p + q,
 
     m(n) = sum_{k=1..q} (-1)^(k+1) C(q, k) m(n - k) + m(n - (p + q)),
 
-with base values for 1 <= n < p + q taken from the exhaustive oracle and
-m(0) = 0 (no set has maximum 0).
+with base values for 1 <= n < p + q summed over the family's parts, sizes
+C(n - lo, r) with no set built or scanned, and m(0) = 0 (no set has
+maximum 0).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import add, getitem, mul
 from typing import Callable, Iterable
 
 from .core import binom, fib
-from .enumeration import count_ratio_family, require_bits_within_cap
+from .enumeration import _ratio_parts, require_bits_within_cap
 from .errors import DomainError
 
 
@@ -241,10 +242,12 @@ def family_k_case_counts(n: int) -> CaseCounts:
 
 
 def ratio_recurrence(p: int, q: int, n: int) -> int:
-    """Ratio family count via the signed recurrence, oracle-seeded base.
+    """Ratio family count via the signed recurrence, seeded by part sums.
 
-    Base values: m(0) = 0 and m(n) = count_ratio_family(p, q, n) for
-    1 <= n < p + q; beyond that the alternating recurrence applies.
+    Base values: m(0) = 0 and, for 1 <= n < p + q, the sum of C(n - lo, r)
+    over the level's parts (r elements from {lo..n-1} added to the prefix
+    and n), the sizes the structured route counts; beyond that the
+    alternating recurrence applies.
     Intermediate terms are signed; the final value must be nonnegative.
     """
     if p < 1 or q < 1:
@@ -254,7 +257,7 @@ def ratio_recurrence(p: int, q: int, n: int) -> int:
     base = p + q
     m: list[int] = [0]
     for i in range(1, min(n, base - 1) + 1):
-        m.append(count_ratio_family(p, q, i))
+        m.append(sum(binom(i - lo, r) for _, r, lo in _ratio_parts(p, q, i)))
     for i in range(base, n + 1):
         acc = m[i - base]
         sign = 1

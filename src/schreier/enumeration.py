@@ -13,13 +13,19 @@ an element of S: k = 10**12 costs what k = n + 1 does.
 The oracle is a naive mask scan: it visits every subset of the universe by
 bitmask and tests the defining inequality directly, so it is the independent
 ground truth for the closed forms and for the structured route.  Family A's
-one scan keeps the candidates, the sets with min >= size, which hold every
+scan keeps the candidates, the sets with min >= size, which hold every
 member for every k; the one member predicate then runs over them, so
 ``count_family_a``, ``enumerate_family_a`` and the whole (k, n) grid of
 ``count_family_a_grid`` all read one scan of {1..n}.  ``enumerate_family_k``
 and ``enumerate_ratio_family`` scan one pinned level; ``ratio_tally`` scans
-one and counts its subsets by (min, size), so ``count_ratio_family`` and
-every other (p, q) read their counts off that one tally.
+one and counts its subsets by (min, size), and ``count_ratio_family`` reads
+its (p, q) off that tally.  Every scan takes its masks from ``_scan``.
+
+Inside a ``with scan_once():`` block each naive scan is made once: family
+A's candidates grow to the largest universe read so far, scanning only the
+masks from 2**seen up to 2**n, and a smaller universe reads their prefix
+below 2**n; each pinned K level and each ratio tally is kept.  The size cap
+is checked when a scan runs, so a block changes no refusal.
 
 The structured route, ``stream_family_a``, ``stream_family_k`` and
 ``stream_ratio_family``, counts the members part by part without building
@@ -59,9 +65,12 @@ of their indices in bits, known before the first term.  It is refused past
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .core import binom
 from .errors import DomainError, SizeLimitError
@@ -130,17 +139,64 @@ def _members_in_order(masks: list[int]) -> list[FiniteSet]:
     return members
 
 
+# -- the naive scans, each made once inside a scan_once block ---------------
+
+# What the scans of the open ``scan_once`` block found, None outside any
+# block: "A" holds (seen, family A's candidates below 2**seen), and
+# (scan, n) the result of a pinned level's scan.
+_kept: Optional[dict[Any, Any]] = None
+
+
+@contextmanager
+def scan_once() -> Iterator[None]:
+    """Make each naive scan at most once until the block ends; a block
+    opened inside another shares it."""
+    global _kept
+    outer = _kept
+    _kept = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _kept = outer
+
+
+def _scan(seen: int, n: int, what: str) -> range:
+    """The masks from 2**seen up to 2**n, which the scan named ``what``
+    visits: every naive scan takes its masks here."""
+    return range(1 << seen, 1 << n)
+
+
+def _kept_by_level(scan: Callable[..., Any]) -> Callable[..., Any]:
+    """Inside a ``scan_once`` block, run ``scan(n, ...)`` once per level n."""
+
+    @functools.wraps(scan)
+    def once(n: int, *args: Any) -> Any:
+        kept = {} if _kept is None else _kept
+        if (scan, n) not in kept:
+            kept[scan, n] = scan(n, *args)
+        return kept[scan, n]
+
+    return once
+
+
 # -- family A: weight-k admissible sets with max <= n -----------------------
 
 
 def _a_candidate_masks(n: int, what: str) -> list[int]:
-    """Scan every nonempty subset of {1..n} and keep those with min >= size.
+    """Keep the nonempty subsets of {1..n} with min >= size, ascending.
 
     A member of any weight-k family has min > |E| - [k in E] >= |E| - 1, so
     these F(n+2) - 1 sets hold every nonempty member, whatever k is.
     """
-    require_scan_within_cap(n, what)
-    return [m for m in range(1, 1 << n) if (m & -m).bit_length() >= m.bit_count()]
+    seen, candidates = (_kept or {}).get("A", (0, []))
+    if n > seen:
+        require_scan_within_cap(n, what)
+        candidates = candidates + [
+            m for m in _scan(seen, n, what) if (m & -m).bit_length() >= m.bit_count()
+        ]
+        if _kept is not None:
+            _kept["A"] = n, candidates
+    return candidates[: bisect_left(candidates, 1 << n)]
 
 
 def _zero_weight_masks(S: tuple[int, ...], n: int, masks: Iterable[int]) -> list[int]:
@@ -312,12 +368,13 @@ def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
     return _stream_pinned(n, lambda: _k_parts(n), f"stream_family_k: members of K({n})")
 
 
+@_kept_by_level
 def _k_member_masks(n: int, what: str) -> list[int]:
     """Scan the 2**(n-1) subsets of {1..n} with maximum n and keep, in
     ascending order, those whose min exceeds their weight with S = {2, 3},
     then drop those of size 2."""
     require_scan_within_cap(n - 1, what)
-    level = _zero_weight_masks((2, 3), n, range(1 << (n - 1), 1 << n))
+    level = _zero_weight_masks((2, 3), n, _scan(n - 1, n, what))
     return [m for m in level if m.bit_count() != 2]
 
 
@@ -350,7 +407,7 @@ def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
     require_scan_within_cap(n - 1, what)
     return [
         m
-        for m in range(1 << (n - 1), 1 << n)
+        for m in _scan(n - 1, n, what)
         if _ratio_admits(p, q, (m & -m).bit_length(), m.bit_count())
     ]
 
@@ -368,6 +425,7 @@ def _ratio_parts(p: int, q: int, n: int) -> Iterator[_Part]:
         s += 1
 
 
+@_kept_by_level
 def ratio_tally(n: int) -> dict[tuple[int, int], int]:
     """Scan the 2**(n-1) subsets of {1..n} with maximum n and count them by
     (min, size), the two numbers every ratio family tests.
@@ -379,26 +437,23 @@ def ratio_tally(n: int) -> dict[tuple[int, int], int]:
     if n < 1:
         raise DomainError(f"ratio_tally: n must be >= 1, got {n}")
     require_scan_within_cap(n - 1, "ratio_tally")
-    top = 1 << (n - 1)
+    level = _scan(n - 1, n, "ratio_tally")
     tally = {}
     for lo in range(1, n + 1):
         low = 1 << (lo - 1)
-        sizes = Counter(map(int.bit_count, range(top | low, top << 1, low << 1)))
+        sizes = Counter(map(int.bit_count, range(level.start | low, level.stop, low << 1)))
         for size, count in sizes.items():
             tally[lo, size] = count
     return tally
 
 
-def count_in_tally(tally: dict[tuple[int, int], int], p: int, q: int) -> int:
-    """Count the members of one ratio family, q * min >= p * size, in a
-    level's ``ratio_tally``."""
-    return sum(count for (lo, size), count in tally.items() if _ratio_admits(p, q, lo, size))
-
-
 def count_ratio_family(p: int, q: int, n: int) -> int:
-    """Count sets with max = n and q * min >= p * size, by exhaustive scan."""
+    """Count sets with max = n and q * min >= p * size, by exhaustive scan:
+    the members read off the level's ``ratio_tally``."""
     _require_ratio_domain(p, q, n, "count_ratio_family")
-    return count_in_tally(ratio_tally(n), p, q)
+    return sum(
+        count for (lo, size), count in ratio_tally(n).items() if _ratio_admits(p, q, lo, size)
+    )
 
 
 def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:

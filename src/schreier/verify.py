@@ -6,12 +6,13 @@ were evaluated, and the first counterexample if any instance failed.  The
 suites never trust a formula: one side of every comparison is either a
 brute-force oracle or an independently computed route.
 
-Each suite scans an oracle once for all of its levels: the partition checks
-run level by level inside one ``partition_scan``, so they read one scan of
-the largest universe their range needs (each pinned level once for thm1_4),
-and mpq reads all nine (p, q) counts of a level off one ``ratio_tally``.
-thm1_1 reads every a(n, n) off one scan of family A's candidates: those of
-{1..n} are the prefix below 2**n.  eq1_2 tests the oracle's own mask rule
+Each suite that reads a naive oracle reads it inside one
+``enumeration.scan_once`` block, so every scan is made once per suite run:
+thm1_1's diagonal counts and partitions and prop3_1's counts read one scan
+of family A's candidates, grown to the largest universe, and so do rec3_1's
+partitions; thm1_4 scans each pinned level once for its cross-checks and
+partitions, and mpq reads all nine (p, q) counts of a level off one tally.
+A block never spans two suites.  eq1_2 tests the oracle's own mask rule
 against the Schreier classes worked out from the bits of every subset of
 its universe, one whole row of masks per k; only a row that differs is
 searched, for the first failing (E, k) with E outside and k inside.
@@ -27,12 +28,11 @@ default seed below, so failures reproduce; the seed can be overridden.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bijections import partition_scan, verify_partition
+from .bijections import verify_partition
 from .closed_forms import (
     band_count,
     closed_count,
@@ -46,16 +46,15 @@ from .closed_forms import (
 )
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
-    _a_candidate_masks,
     _a_member_masks,
     _set_of,
     count_family_a,
     count_family_a_grid,
-    count_in_tally,
+    count_ratio_family,
     enumerate_family_k,
-    ratio_tally,
     require_scan_within_cap,
     require_within_cap,
+    scan_once,
     stream_family_a,
     stream_family_k,
 )
@@ -120,15 +119,10 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     part_top = n_max if n_max is not None else 16
     # The partition at level n scans the (n+1)-diagonal.
     require_scan_within_cap(max(enum_top, part_top + 1), "suite thm1_1")
-    # One scan of {1..enum_top}; the candidates of {1..n} are those below
-    # 2**n.  It is dropped before the double sums grow their own table.
-    candidates = _a_candidate_masks(enum_top, "suite thm1_1")
-    diagonal = [
-        len(_a_member_masks(n, n, candidates[: bisect_left(candidates, 1 << n)]))
-        for n in range(1, enum_top + 1)
-    ]
-    del candidates
-    with partition_scan("thm1_1", part_top):
+    # One scan of family A's candidates, dropped before the double sums
+    # grow their own table.
+    with scan_once():
+        diagonal = [count_family_a(n, n) for n in range(1, enum_top + 1)]
         partition = _run_checks(
             "diagonal-partition",
             f"n=2..{part_top}",
@@ -225,18 +219,28 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     # that the partitions scan anyway.
     oracle_top = min(count_top, part_top + 1)
 
-    # Each level is built once; only these small facts outlive it.
+    # Each level is built once; only these small facts outlive it.  The
+    # oracle's pinned levels are kept for the partitions.
     sizes, agrees, splits, min2_members, min3_sizes = {}, {}, {}, {}, {}
-    for n in range(2, level_top + 1):
-        members = list(stream_family_k(n)[1])
-        if n <= oracle_top:
-            agrees[n] = members == enumerate_family_k(n)
-        has = Counter((2 in E, 3 in E) for E in members)
-        sizes[n] = len(members)
-        splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
-        min2_members[n] = [str(F) for F in members if len(F) > 1 and F.min == 2]
-        min3_sizes[n] = [len(F) for F in members if len(F) > 1 and F.min == 3]
-        del members
+    with scan_once():
+        for n in range(2, level_top + 1):
+            members = list(stream_family_k(n)[1])
+            if n <= oracle_top:
+                agrees[n] = members == enumerate_family_k(n)
+            has = Counter((2 in E, 3 in E) for E in members)
+            sizes[n] = len(members)
+            splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
+            min2_members[n] = [str(F) for F in members if len(F) > 1 and F.min == 2]
+            min3_sizes[n] = [len(F) for F in members if len(F) > 1 and F.min == 3]
+            del members
+        partition = _run_checks(
+            "pinned-partition",
+            f"n=3..{part_top}",
+            (
+                (f"n={n}", verify_partition("thm1_4", n).ok, True)
+                for n in range(3, part_top + 1)
+            ),
+        )
 
     def case_cases():
         for n in range(3, case_top + 1):
@@ -266,16 +270,6 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
                 yield (f"n={n} vacuous", got, [])
             else:
                 yield (f"n={n}", got, [3] * len(got))
-
-    with partition_scan("thm1_4", part_top):
-        partition = _run_checks(
-            "pinned-partition",
-            f"n=3..{part_top}",
-            (
-                (f"n={n}", verify_partition("thm1_4", n).ok, True)
-                for n in range(3, part_top + 1)
-            ),
-        )
 
     def count_cases():
         for n in range(2, count_top + 1):
@@ -313,9 +307,11 @@ def suite_prop3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                     (want, want),
                 )
 
+    with scan_once():
+        oracle = _run_checks("beyond-diagonal-oracle", f"n=1..{oracle_top}, k>n", oracle_cases())
     return [
         _run_checks("beyond-diagonal-closed", f"n=1..{closed_top}, k>n", closed_cases()),
-        _run_checks("beyond-diagonal-oracle", f"n=1..{oracle_top}, k>n", oracle_cases()),
+        oracle,
     ]
 
 
@@ -343,7 +339,7 @@ def suite_rec3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
         f"k=2..{table_k} n=1..{table_n}",
         table_cases(),
     )
-    with partition_scan("rec3_1", part_n):
+    with scan_once():
         partition = _run_checks("column-partition", f"k=2..{part_k} n<= {part_n}", part_cases())
     return [table, partition]
 
@@ -531,26 +527,20 @@ def suite_eq3_10(n_max=None, k_max=None, seed=None) -> list[Report]:
 def suite_mpq(n_max=None, k_max=None, seed=None) -> list[Report]:
     n_top = n_max if n_max is not None else 18
     require_scan_within_cap(n_top - 1, "suite mpq")
-    # One scan per level, tallied by (min, size), serves all nine families.
-    tallies = {n: ratio_tally(n) for n in range(1, n_top + 1)}
-    reports = []
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            reports.append(
-                _run_checks(
-                    f"ratio-recurrence-p{p}q{q}",
-                    f"n=1..{n_top}",
-                    (
-                        (
-                            f"p={p} q={q} n={n}",
-                            ratio_recurrence(p, q, n),
-                            count_in_tally(tallies[n], p, q),
-                        )
-                        for n in range(1, n_top + 1)
-                    ),
-                )
+    # One tally per level, by (min, size), serves all nine families.
+    with scan_once():
+        return [
+            _run_checks(
+                f"ratio-recurrence-p{p}q{q}",
+                f"n=1..{n_top}",
+                (
+                    (f"p={p} q={q} n={n}", ratio_recurrence(p, q, n), count_ratio_family(p, q, n))
+                    for n in range(1, n_top + 1)
+                ),
             )
-    return reports
+            for p in (1, 2, 3)
+            for q in (1, 2, 3)
+        ]
 
 
 def _identities(

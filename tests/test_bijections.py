@@ -9,12 +9,17 @@ from schreier.bijections import (
     column_shift,
     diag_shift,
     diag_swap,
-    partition_scan,
     shift_by_one,
     two_level_step,
     verify_partition,
 )
-from schreier.enumeration import enumerate_family_a, enumerate_family_k
+from schreier.closed_forms import closed_count
+from schreier.enumeration import (
+    count_family_a,
+    enumerate_family_a,
+    enumerate_family_k,
+    scan_once,
+)
 from schreier.errors import DomainError, SizeLimitError
 from schreier.finite_sets import FiniteSet, SchreierClass, classify, in_weighted_family
 
@@ -247,52 +252,79 @@ def test_mask_maps_agree_with_the_set_maps_on_every_default_domain():
 
 
 def test_a_shared_scan_changes_no_report():
-    for kind, n_top in (("thm1_1", 16), ("rec3_1", 16), ("thm1_4", 18)):
+    for kind in ("thm1_1", "rec3_1", "thm1_4"):
         levels = [(n, k) for kind2, n, k in _default_levels() if kind2 == kind]
         alone = [verify_partition(kind, n, k) for n, k in levels]
-        with partition_scan(kind, n_top):
+        with scan_once():
             shared = [verify_partition(kind, n, k) for n, k in levels]
         assert shared == alone
         assert all(r.ok for r in shared)
 
 
-def test_partition_scan_is_shared_only_inside_its_block(monkeypatch):
+def _record_scans(monkeypatch):
+    """Record every naive scan as (seen, n): the masks from 2**seen to 2**n."""
     scans = []
-    guard = enumeration.require_scan_within_cap
+    masks = enumeration._scan
 
-    def recording(n, what):
-        scans.append(n)
-        guard(n, what)
+    def recording(seen, n, what):
+        scans.append((seen, n))
+        return masks(seen, n, what)
 
-    monkeypatch.setattr(enumeration, "require_scan_within_cap", recording)
-    with partition_scan("rec3_1", 10):
+    monkeypatch.setattr(enumeration, "_scan", recording)
+    return scans
+
+
+def test_scan_once_is_shared_only_inside_its_block(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    # Outside any block a check scans its largest level once, {1..5} for
+    # the diagonal at 4, grown through its smaller levels, and keeps nothing.
+    for _ in range(2):
+        assert verify_partition("thm1_1", 4).ok
+        assert scans == [(0, 3), (3, 4), (4, 5)]
+        scans.clear()
+    with scan_once():
         for n, k in ((5, 3), (10, 3), (9, 4), (6, 2)):
             assert verify_partition("rec3_1", n, k).ok
-        assert scans == [10]
-        verify_partition("rec3_1", 11, 3)  # past n_top: a scan of its own
-        verify_partition("thm1_1", 4)  # another kind: a scan of {1..5}
-        assert scans == [10, 11, 5]
-    verify_partition("rec3_1", 5, 3)
-    assert scans == [10, 11, 5, 5]
+        assert scans == [(0, 4), (4, 5), (5, 9), (9, 10)]
+        assert verify_partition("thm1_1", 4).ok  # another kind reads the same candidates
+        with scan_once():  # a nested block shares the outer one
+            assert verify_partition("rec3_1", 11, 3).ok  # only the masks past 2**10
+        assert count_family_a(3, 11) == closed_count(3, 11)  # still kept after the nested block
+        assert scans == [(0, 4), (4, 5), (5, 9), (9, 10), (10, 11)]
     scans.clear()
-    with partition_scan("thm1_4", 8):
+    assert verify_partition("rec3_1", 5, 3).ok  # after the block, a scan of its own
+    assert scans == [(0, 4), (4, 5)]
+    scans.clear()
+    with scan_once():
         for n in range(3, 9):
-            verify_partition("thm1_4", n)
-    assert sorted(scans) == [n - 1 for n in range(2, 10)]  # pinned levels 2..9, once each
+            assert verify_partition("thm1_4", n).ok
+    assert sorted(scans) == [(n - 1, n) for n in range(2, 10)]  # pinned levels 2..9, once each
 
 
-def test_partition_scan_argument_errors_and_cap():
-    with pytest.raises(DomainError):
-        with partition_scan("nope", 5):
-            pass
-    with partition_scan("thm1_1", 30):  # nothing read, nothing scanned
-        pass
-    with partition_scan("thm1_1", 30):
+def test_scan_once_checks_the_cap_only_when_a_scan_runs(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(SizeLimitError) as refused:
+            count_family_a(3, 25)
+        refusals.append(str(refused.value))
+        with scan_once():
+            pass  # a block that reads nothing scans nothing
+    assert scans == []
+    with scan_once():
+        assert verify_partition("thm1_1", 5).ok
+        with pytest.raises(SizeLimitError) as refused:
+            count_family_a(3, 25)  # refused when first read, before any mask
+        refusals.append(str(refused.value))
         with pytest.raises(SizeLimitError):
-            verify_partition("thm1_1", 5)  # the shared scan of {1..31} is refused
-    with partition_scan("rec3_1", 8):
+            enumerate_family_k(26)
+        with pytest.raises(SizeLimitError):
+            verify_partition("thm1_1", 24)
         with pytest.raises(DomainError):
             verify_partition("rec3_1", 5)  # arguments are checked as outside
+        assert verify_partition("thm1_1", 5).ok
+    assert scans == [(0, 4), (4, 5), (5, 6)]
+    assert len(set(refusals)) == 1
 
 
 @pytest.mark.parametrize(
@@ -321,8 +353,8 @@ def test_a_broken_mask_map_is_caught_with_the_first_witness_in_enum_order(
     assert "outside the codomain" in report.first_violation[1]
     domain = _reference_images(kind, n, k)[-1][0]
     assert witness == next(F for F in domain if len(F) >= 2)
-    with partition_scan(kind, n + 2):
-        assert verify_partition(kind, n, k) == report
+    with scan_once():  # the second check reads the scans the first kept
+        assert verify_partition(kind, n, k) == report == verify_partition(kind, n, k)
 
 
 def test_a_colliding_mask_map_is_caught_with_the_first_witness_in_enum_order(monkeypatch):
@@ -338,5 +370,5 @@ def test_a_colliding_mask_map_is_caught_with_the_first_witness_in_enum_order(mon
     report = verify_partition("thm1_1", 8)
     assert report.well_defined and not report.injective and not report.ok
     assert report.first_violation == (FiniteSet.of(2, 8), "image {} repeats that of {}")
-    with partition_scan("thm1_1", 10):
-        assert verify_partition("thm1_1", 8) == report
+    with scan_once():
+        assert verify_partition("thm1_1", 8) == report == verify_partition("thm1_1", 8)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -257,6 +258,28 @@ def test_a_closed_reader_changes_no_exit_code(argv, want):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (want, b""), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "lemma3_5", "--n-max", "3000000", "--k-max", "1"],
+        ["verify", "--suite", "thm1_3", "--n-max", "1", "--k-max", "1000000000"],
+    ],
+)
+def test_running_out_of_memory_exits_3(argv):
+    # Each request outgrows a 400 MB address space; exit 1 with a traceback
+    # would claim a counterexample.
+    limit = 400 << 20
+    result = subprocess.run(
+        [sys.executable, "-m", "schreier", *argv],
+        capture_output=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (result.returncode, result.stdout) == (3, b""), argv
+    assert b"Traceback" not in result.stderr
+    assert result.stderr == b"schreier: out of memory\n"
 
 
 # -- sequence ------------------------------------------------------------

@@ -15,8 +15,9 @@ from schreier.closed_forms import (
     ratio_recurrence,
     recurrence_table,
 )
-from schreier.core import fib
+from schreier.core import binom, fib
 from schreier.enumeration import (
+    _ratio_parts,
     count_family_a,
     count_family_a_grid,
     count_ratio_family,
@@ -190,6 +191,16 @@ def test_ratio_recurrence_matches_oracle():
         for q in (1, 2, 3):
             for n in range(1, 13):
                 assert ratio_recurrence(p, q, n) == count_ratio_family(p, q, n)
+
+
+def test_ratio_recurrence_seeds_its_base_past_the_oracle_cap():
+    # The base runs to n = 26, whose scan of 2^25 subsets the oracle refuses;
+    # the part sums seed it with no scan, and level 40's own part sum agrees.
+    with pytest.raises(SizeLimitError):
+        count_ratio_family(13, 14, 26)
+    parts = _ratio_parts(13, 14, 40)
+    assert ratio_recurrence(13, 14, 40) == sum(binom(40 - lo, r) for _, r, lo in parts)
+    assert ratio_recurrence(13, 14, 40) == 119_724_514
 
 
 def test_ratio_recurrence_frozen_sequences():

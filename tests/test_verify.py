@@ -94,29 +94,29 @@ def test_corrupted_fibonacci_cache_is_caught():
 
 
 def _record_scans(monkeypatch):
-    """Record the n of every 2**n scan the enumeration oracles make."""
+    """Record every naive scan the enumeration oracles make as the masks it
+    visits: (seen, n, what) for the masks from 2**seen up to 2**n."""
     scans = []
-    guard = enumeration.require_scan_within_cap
+    masks = enumeration._scan
 
-    def recording(n, what):
-        scans.append((n, what))
-        guard(n, what)
+    def recording(seen, n, what):
+        scans.append((seen, n, what))
+        return masks(seen, n, what)
 
-    monkeypatch.setattr(enumeration, "require_scan_within_cap", recording)
+    monkeypatch.setattr(enumeration, "_scan", recording)
     return scans
 
 
 def test_thm1_2_fills_its_grid_from_one_scan(monkeypatch):
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite("thm1_2"))
-    assert scans == [(20, "count_family_a_grid")]
+    assert scans == [(0, 20, "count_family_a_grid")]
 
 
-def test_thm1_4_scans_each_pinned_level_at_most_twice(monkeypatch):
-    # The naive oracle scans only the levels the partitions read: once for
-    # the cross-check of the structured level, and once for all the
-    # partitions that read the level.  The structured route builds every
-    # level the checks read exactly once.
+def test_thm1_4_scans_each_pinned_level_once(monkeypatch):
+    # The naive oracle scans each pinned level the checks read once, for
+    # the cross-check of the structured level; the partitions read those
+    # scans.  The structured route builds every level exactly once.
     scans = _record_scans(monkeypatch)
     built = []
     stream = verify.stream_family_k
@@ -127,20 +127,23 @@ def test_thm1_4_scans_each_pinned_level_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(verify, "stream_family_k", recording)
     assert all(r.passed for r in run_suite("thm1_4"))
-    per_level = Counter(n + 1 for n, _ in scans)
-    assert Counter(what for _, what in scans) == {
-        "enumerate_family_k": 18,
-        "partitions thm1_4": 18,
-    }
-    assert set(per_level) == set(range(2, 20))
-    assert max(per_level.values()) <= 2
+    assert scans == [(n - 1, n, "enumerate_family_k") for n in range(2, 20)]
     assert built == list(range(2, 24))
 
 
 def test_thm1_1_reads_its_diagonal_off_one_scan(monkeypatch):
+    # a(n, n) for n = 1..22 grows one candidate scan universe by universe:
+    # 2**22 - 1 masks in all, and the partitions add none.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite("thm1_1"))
-    assert scans == [(22, "suite thm1_1"), (17, "partitions thm1_1")]
+    assert scans == [(n - 1, n, "count_family_a") for n in range(1, 23)]
+    assert sum((1 << n) - (1 << seen) for seen, n, _ in scans) == 2**22 - 1
+
+
+def test_prop3_1_reads_its_oracle_counts_off_one_scan(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite("prop3_1"))
+    assert scans == [(n - 1, n, "count_family_a") for n in range(1, 15)]
 
 
 def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
@@ -160,29 +163,29 @@ def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
 
 @pytest.mark.parametrize("suite, kind", [("thm1_1", "thm1_1"), ("rec3_1", "rec3_1")])
 def test_family_a_partitions_read_one_scan(monkeypatch, suite, kind):
+    # Family A's candidates grow universe by universe, so each mask of the
+    # largest universe is visited once: thm1_1's partitions read the scan
+    # of {1..22} its diagonal grew, and rec3_1's grow one scan of {1..16}.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite(suite))
-    universe = 17 if kind == "thm1_1" else 16
-    assert [s for s in scans if s[1] == f"partitions {kind}"] == [(universe, f"partitions {kind}")]
+    steps = [(seen, n) for seen, n, _ in scans]
+    top = 22 if kind == "thm1_1" else 16
+    assert steps[0][0] == 0 and steps[-1][1] == top
+    assert all(seen == n for (_, n), (seen, _) in zip(steps, steps[1:]))
+    reader = "count_family_a" if kind == "thm1_1" else f"partitions {kind}"
+    assert {what for _, _, what in scans} == {reader}
 
 
 def test_mpq_scans_each_level_once(monkeypatch):
-    # ratio_recurrence seeds its first p + q - 1 terms from count_ratio_family;
-    # the nine families' oracle counts all read one tally per level.
+    # The nine families' oracle counts read one tally per level, and
+    # ratio_recurrence seeds its first p + q - 1 terms from part sums,
+    # scanning nothing.
     scans = _record_scans(monkeypatch)
-    seeded = []
-    count = enumeration.count_ratio_family
-
-    def recording(p, q, n):
-        seeded.append(n)
-        return count(p, q, n)
-
-    monkeypatch.setattr(closed_forms, "count_ratio_family", recording)
     assert all(r.passed for r in run_suite("mpq"))
-    per_level = Counter(n + 1 for n, _ in scans)
-    for n in seeded:
-        per_level[n] -= 1
-    assert +per_level == Counter(range(1, 19))
+    assert scans == [(n - 1, n, "ratio_tally") for n in range(1, 19)]
+    scans.clear()
+    assert closed_forms.ratio_recurrence(13, 14, 40) == 119_724_514
+    assert scans == []
 
 
 def test_all_runs_eq1_2_and_eq3_10_once(monkeypatch):
