@@ -38,6 +38,7 @@ once for thm1_4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -300,13 +301,16 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
                 _family_a(n + 1, n + 1, what),
             )
         if kind == "rec3_1":
+            # A(k, n - 1) is the part of A(k, n) below 2**(n-1): bit n-1 is
+            # clear there, so the member test is the same.
+            codomain = _family_a(k, n, what)
             return _check_masks(
                 "embed+column_shift",
                 n,
                 k,
-                (_family_a(k, n - 1, what), lambda m: m),
+                (codomain[: bisect_left(codomain, 1 << (n - 1))], lambda m: m),
                 (_family_a(k - 1, n - 2, what), lambda m: _column_shift_mask(m, n)),
-                _family_a(k, n, what),
+                codomain,
             )
         return _check_masks(
             "shift_by_one+two_level_step",

@@ -1,10 +1,17 @@
 """Command line interface: tables, enumerations, verification, sequences.
 
+Each command maps its argument values to one library route, which checks
+its own bounds and size cap, and returns its exit code with its output as
+chunks of text.  ``main`` is the one writer: it writes the chunks as they
+come, so ``enumerate``, whose chunks are rendered from the member stream one
+at a time, streams, while ``table``, ``verify`` and ``sequence`` are one
+chunk each.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
 exceeded a size cap (candidate sets for a brute-force route, bits of values
-for a table or sequence) or ran out of memory.  A reader that closes stdout early (say,
-``| head``) changes no exit code: the command stops writing, ``enumerate``
-exits 0, and ``verify`` still exits 1 on a counterexample.
+for a table or sequence) or ran out of memory.  A reader that closes stdout
+early (say, ``| head``) changes no exit code: ``main`` stops writing,
+``enumerate`` exits 0, and ``verify`` still exits 1 on a counterexample.
 
 All output is deterministic: the same invocation produces byte-identical
 stdout, with LF line endings, so table output can be diffed against golden
@@ -18,7 +25,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .closed_forms import (
     closed_table,
@@ -30,7 +37,6 @@ from .core import fib
 from .enumeration import (
     count_family_a_grid,
     require_bits_within_cap,
-    require_within_cap,
     stream_family_a,
     stream_family_k,
     stream_ratio_family,
@@ -120,6 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- output -------------------------------------------------------------------
 
+# What a command returns: its exit code and its output, as chunks of text.
+_Output = tuple[int, Iterable[str]]
+
 
 def _drop_stdout() -> None:
     """Point stdout's descriptor at devnull, so that nothing more written to
@@ -129,33 +138,7 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _emit(text: str) -> None:
-    """Write a command's whole output.  A reader that closed stdout early
-    (say, `| head`) gets no more, and the command keeps its exit code."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
-
-
 # -- table -------------------------------------------------------------------
-
-
-def _table_grid(k_max: int, n_max: int, source: str) -> list[list[int]]:
-    if k_max < 1 or n_max < 1:
-        raise DomainError(f"table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}")
-    if source == "closed":
-        return closed_table(k_max, n_max)
-    if source == "recurrence":
-        return recurrence_table(k_max, n_max)
-    # Counted as if each cell ran its own 2**n scan, k_max * (2**(n_max+1) - 2)
-    # sets: an upper bound on the grid's one scan and its k_max passes.
-    require_within_cap(
-        (k_max << n for n in range(1, n_max + 1)),
-        f"table: oracle grid of {k_max} x {n_max} scans",
-    )
-    return count_family_a_grid(k_max, n_max)
 
 
 def _render_table(grid: list[list[int]], k_max: int, n_max: int, source: str, fmt: str) -> str:
@@ -176,34 +159,18 @@ def _render_table(grid: list[list[int]], k_max: int, n_max: int, source: str, fm
     )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    grid = _table_grid(args.k_max, args.n_max, args.source)
-    _emit(_render_table(grid, args.k_max, args.n_max, args.source, args.fmt))
-    return EXIT_OK
+def _cmd_table(args: argparse.Namespace) -> _Output:
+    # Each route checks its own bounds and size cap.
+    route = {
+        "closed": closed_table,
+        "recurrence": recurrence_table,
+        "oracle": count_family_a_grid,
+    }[args.source]
+    grid = route(args.k_max, args.n_max)
+    return EXIT_OK, [_render_table(grid, args.k_max, args.n_max, args.source, args.fmt)]
 
 
 # -- enumerate ----------------------------------------------------------------
-
-
-def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, int, Iterator[FiniteSet]]:
-    if args.family == "A":
-        if args.k is None:
-            raise DomainError("enumerate: family A requires --k")
-        if args.p is not None or args.q is not None:
-            raise DomainError("enumerate: family A takes no --p/--q")
-        return ({"family": "A", "k": args.k, "n": args.n}, *stream_family_a(args.k, args.n))
-    if args.family == "K":
-        if args.k is not None or args.p is not None or args.q is not None:
-            raise DomainError("enumerate: family K takes only --n")
-        return ({"family": "K", "n": args.n}, *stream_family_k(args.n))
-    if args.p is None or args.q is None:
-        raise DomainError("enumerate: family mpq requires --p and --q")
-    if args.k is not None:
-        raise DomainError("enumerate: family mpq takes no --k")
-    return (
-        {"family": "mpq", "p": args.p, "q": args.q, "n": args.n},
-        *stream_ratio_family(args.p, args.q, args.n),
-    )
 
 
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
@@ -221,77 +188,80 @@ def _render_chunk(chunk: list[FiniteSet], fmt: str) -> str:
     return before + body[2:-2].replace("],[", after + before) + after
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    # Members are built, rendered and written one chunk at a time, so memory
-    # stays at one chunk whatever the count; JSON writes its count up front.
-    meta, count, members = _enumerate_stream(args)
-    sep = "," if args.fmt == "json" else ""
-    write = sys.stdout.write
-    try:
-        if args.fmt == "json":
-            header = json.dumps({**meta, "count": count}, separators=(",", ":"))
-            write(header[:-1] + ',"sets":[')
-        lead = ""
-        while chunk := list(itertools.islice(members, _CHUNK)):
-            write(lead + _render_chunk(chunk, args.fmt))
-            lead = sep
-        if args.fmt == "json":
-            write("]}\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`): not a failure.
-        _drop_stdout()
-    return EXIT_OK
+def _enumerate_chunks(
+    meta: dict, count: int, members: Iterator[FiniteSet], fmt: str
+) -> Iterator[str]:
+    """Build and render the members one chunk at a time, so memory stays at
+    one chunk whatever the count; JSON writes its count up front."""
+    if fmt == "json":
+        header = json.dumps({**meta, "count": count}, separators=(",", ":"))
+        yield header[:-1] + ',"sets":['
+    sep = "," if fmt == "json" else ""
+    lead = ""
+    while chunk := list(itertools.islice(members, _CHUNK)):
+        yield lead + _render_chunk(chunk, fmt)
+        lead = sep
+    if fmt == "json":
+        yield "]}\n"
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> _Output:
+    flags, stream = {
+        "A": (("k",), stream_family_a),
+        "K": ((), stream_family_k),
+        "mpq": (("p", "q"), stream_ratio_family),
+    }[args.family]
+    for flag in ("k", "p", "q"):
+        if (getattr(args, flag) is None) == (flag in flags):
+            takes = ", ".join(f"--{f}" for f in (*flags, "n"))
+            raise DomainError(f"enumerate: family {args.family} takes only {takes}")
+    params = {f: getattr(args, f) for f in flags}
+    count, members = stream(*params.values(), args.n)
+    meta = {"family": args.family, **params, "n": args.n}
+    return EXIT_OK, _enumerate_chunks(meta, count, members, args.fmt)
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     reports = run_suite(args.suite, n_max=args.n_max, k_max=args.k_max, seed=args.seed)
     passed = sum(1 for r in reports if r.passed)
     checks = sum(r.checks for r in reports)
     status = "OK" if passed == len(reports) else "FAILED"
-    _emit(
-        "".join(report.render() + "\n" for report in reports)
-        + f"suite {args.suite}: {passed}/{len(reports)} checks passed "
+    out = "".join(report.render() + "\n" for report in reports) + (
+        f"suite {args.suite}: {passed}/{len(reports)} checks passed "
         f"({checks} instances) {status}\n"
     )
-    return EXIT_OK if passed == len(reports) else EXIT_VERIFY_FAILED
+    return (EXIT_OK if passed == len(reports) else EXIT_VERIFY_FAILED), [out]
 
 
 # -- sequence -----------------------------------------------------------------
 
 
 def _sequence_values(name: str, n_max: int) -> tuple[int, list[int]]:
+    start, term = {
+        "a-diag": (1, diagonal_count),
+        "k-count": (2, family_k_count),
+        "fib": (0, fib),
+    }[name]
+    if n_max < start:
+        raise DomainError(f"sequence {name}: n-max must be >= {start}, got {n_max}")
     # The term at index n is at most 2^n: a(n, n) <= 2^n, F(n) < 2^n.
-    require_bits_within_cap(max(n_max, 0) * (n_max + 1) // 2, f"sequence {name}: n-max {n_max}")
-    if name == "a-diag":
-        if n_max < 1:
-            raise DomainError(f"sequence a-diag: n-max must be >= 1, got {n_max}")
-        return 1, [diagonal_count(n) for n in range(1, n_max + 1)]
-    if name == "k-count":
-        if n_max < 2:
-            raise DomainError(f"sequence k-count: n-max must be >= 2, got {n_max}")
-        return 2, [family_k_count(n) for n in range(2, n_max + 1)]
-    if n_max < 0:
-        raise DomainError(f"sequence fib: n-max must be >= 0, got {n_max}")
-    return 0, [fib(n) for n in range(0, n_max + 1)]
+    require_bits_within_cap(n_max * (n_max + 1) // 2, f"sequence {name}: n-max {n_max}")
+    return start, [term(n) for n in range(start, n_max + 1)]
 
 
-def _cmd_sequence(args: argparse.Namespace) -> int:
+def _cmd_sequence(args: argparse.Namespace) -> _Output:
     start, values = _sequence_values(args.name, args.n_max)
     if args.fmt == "text":
-        out = "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
+        out = "".join(f"{n} {v}\n" for n, v in enumerate(values, start))
     elif args.fmt == "csv":
-        out = "n,value\n" + "".join(
-            f"{start + i},{v}\n" for i, v in enumerate(values)
-        )
+        out = "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start))
     else:
         payload = {"name": args.name, "start": start, "values": values}
         out = json.dumps(payload, separators=(",", ":")) + "\n"
-    _emit(out)
-    return EXIT_OK
+    return EXIT_OK, [out]
 
 
 _COMMANDS = {
@@ -306,7 +276,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, chunks = _COMMANDS[args.command](args)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            del chunk  # so a streamed command holds one chunk at a time
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`): it gets no more,
+        # and the command keeps its exit code.
+        _drop_stdout()
     except SizeLimitError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
@@ -316,6 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

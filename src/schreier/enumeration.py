@@ -72,7 +72,7 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .core import binom
+from .core import binom, fib
 from .errors import DomainError, SizeLimitError
 from .finite_sets import FiniteSet
 
@@ -268,18 +268,21 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     from one scan of {1..n_max}: ``grid[k-1][n-1] == a(k, n)``.
 
     Each row tests the one predicate on the shared candidates, buckets the
-    members by their maximum and sums the buckets up to each n.  The
-    k_max * |candidates| tests count against the size cap.
+    members by their maximum and sums the buckets up to each n.  Before the
+    scan, its 2**n_max subsets and then the k_max * (F(n_max+2) - 1) tests,
+    one per row and candidate, are checked against the size cap.
     """
     if k_max < 1 or n_max < 1:
         raise DomainError(
             f"count_family_a_grid: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
         )
-    candidates = _a_candidate_masks(n_max, "count_family_a_grid")
+    require_scan_within_cap(n_max, "count_family_a_grid")
+    # The scan keeps C(n_max - s + 1, s) candidates of each size s >= 1.
+    kept = fib(n_max + 2) - 1
     require_within_cap(
-        (k_max * len(candidates),),
-        f"count_family_a_grid: {k_max} x {len(candidates)} predicate tests",
+        (k_max * kept,), f"count_family_a_grid: {k_max} x {kept} predicate tests"
     )
+    candidates = _a_candidate_masks(n_max, "count_family_a_grid")
     grid = []
     for k in range(1, k_max + 1):
         by_max = [0] * (n_max + 1)

@@ -47,6 +47,7 @@ from .closed_forms import (
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
     _a_member_masks,
+    _scan,
     _set_of,
     count_family_a,
     count_family_a_grid,
@@ -494,7 +495,7 @@ def suite_eq1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     # first failure with E outside and k inside.
     first, failure = 1 << universe, None
     for k in range(1, k_top + 1):
-        got = set(_a_member_masks(k, universe, range(1, 1 << universe)))
+        got = set(_a_member_masks(k, universe, _scan(0, universe, "suite eq1_2")))
         want = settled.union(m for m in maximal if m >> (k - 1) & 1)
         if got != want and (m := min(got ^ want)) < first:
             first, failure = m, _mismatch(f"k={k} E={_set_of(m)}", m in got, m in want)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schreier.core as core
-from schreier import cli
+from schreier import cli, enumeration
 from schreier.closed_forms import ratio_recurrence
 from schreier.enumeration import enumerate_family_a, enumerate_family_k, enumerate_ratio_family
 from schreier.verify import SUITE_ORDER
@@ -425,10 +425,14 @@ def test_size_limit_exits_three(capsys):
     assert err.startswith("schreier: ")
 
 
-def test_oracle_table_is_counted_over_its_whole_grid(capsys):
-    # Counted as if each cell ran its own 2**n scan, k_max * (2**(n_max+1) - 2)
-    # candidate sets, an upper bound on the one scan the grid makes.
-    for k_max, n_max in (("3000", "14"), ("1", "24")):
+def test_oracle_table_is_counted_over_its_whole_grid(capsys, monkeypatch):
+    # Before its one scan the grid counts the scan's 2**n_max subsets, then
+    # its k_max * (F(n_max+2) - 1) predicate tests: 17016 * 986 is past the
+    # cap, 3000 * 986 is not.
+    scans = []
+    masks = enumeration._scan
+    monkeypatch.setattr(enumeration, "_scan", lambda *args: scans.append(args) or masks(*args))
+    for k_max, n_max in (("1", "25"), ("17016", "14")):
         start = time.perf_counter()
         code, out, err = main_out(
             capsys,
@@ -436,7 +440,27 @@ def test_oracle_table_is_counted_over_its_whole_grid(capsys):
         )
         assert time.perf_counter() - start < 1, (k_max, n_max)
         assert (code, out) == (3, ""), (k_max, n_max)
-        assert err.startswith("schreier: table: oracle grid"), (k_max, n_max)
+        assert err.startswith("schreier: count_family_a_grid: "), (k_max, n_max)
+    assert scans == []
+    tables = [
+        main_out(capsys, ["table", "--k-max", "3000", "--n-max", "14", "--source", source])
+        for source in ("oracle", "closed")
+    ]
+    assert tables[0][0] == 0
+    assert tables[0][1] == tables[1][1]
+
+
+@pytest.mark.parametrize("family", ["A", "K", "mpq"])
+@pytest.mark.parametrize("flag", ["--k", "--p", "--q"])
+def test_enumerate_rejects_each_missing_or_extra_flag(capsys, family, flag):
+    takes = {"A": ("--k",), "K": (), "mpq": ("--p", "--q")}[family]
+    given = set(takes) ^ {flag}  # the family's flags, with flag left out or added
+    argv = ["enumerate", "--family", family, "--n", "5"]
+    for f in sorted(given):
+        argv += [f, "2"]
+    code, out, err = main_out(capsys, argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith(f"schreier: enumerate: family {family} takes only "), argv
 
 
 def test_oversized_requests_are_refused_before_any_work(capsys):

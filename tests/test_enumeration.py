@@ -269,6 +269,26 @@ def test_size_caps():
             stream_ratio_family(1, 1, n)
 
 
+def test_grid_counts_its_predicate_tests_before_its_scan(monkeypatch):
+    # The pre-count is the number of candidates the scan keeps, F(n+2) - 1,
+    # so the least refused k_max is exact, and nothing is scanned before it.
+    kept = {n: len(enumeration._a_candidate_masks(n, "test")) for n in range(1, 21)}
+
+    class Scanned(Exception):
+        pass
+
+    def scan(n, what):
+        raise Scanned
+
+    monkeypatch.setattr(enumeration, "_a_candidate_masks", scan)
+    for n, count in kept.items():
+        k_max = oracle_cap() // count
+        with pytest.raises(Scanned):
+            count_family_a_grid(k_max, n)
+        with pytest.raises(SizeLimitError, match=f": {k_max + 1} x {count} predicate tests"):
+            count_family_a_grid(k_max + 1, n)
+
+
 def test_oracle_cap_is_the_one_size_bound():
     assert oracle_cap() == 2**24
     require_scan_within_cap(24, "scan")  # exactly 2**24 candidate sets

@@ -104,6 +104,7 @@ def _record_scans(monkeypatch):
         return masks(seen, n, what)
 
     monkeypatch.setattr(enumeration, "_scan", recording)
+    monkeypatch.setattr(verify, "_scan", recording)
     return scans
 
 
@@ -159,6 +160,33 @@ def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
         "FAIL weighted-family-decomposition [k=1..10, E within {1..14}] "
         "(163840 checks): first counterexample k=2 E={1}: got True, expected False"
     )
+
+
+def test_eq1_2_takes_each_oracle_row_from_a_scan(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    assert all(r.passed for r in run_suite("eq1_2"))
+    assert scans == [(0, 14, "suite eq1_2")] * 10
+
+
+def test_rec3_1_tests_two_levels_per_check(monkeypatch):
+    # Each check runs the member predicate on A(k, n) and A(k - 1, n - 2);
+    # A(k, n - 1) is read off A(k, n) below 2**(n-1).
+    passes = []
+    rule = enumeration._zero_weight_masks
+
+    def recording(S, n, masks):
+        passes.append((S, n))
+        return rule(S, n, masks)
+
+    monkeypatch.setattr(enumeration, "_zero_weight_masks", recording)
+    assert all(r.passed for r in run_suite("rec3_1"))
+    assert passes == [
+        level
+        for k in range(2, 9)
+        for n in range(max(k, 2) + 1, 17)
+        for level in (((k,), n), ((k - 1,), n - 2))
+    ]
+    assert len(passes) == 154
 
 
 @pytest.mark.parametrize("suite, kind", [("thm1_1", "thm1_1"), ("rec3_1", "rec3_1")])
