@@ -35,14 +35,13 @@ from .closed_forms import (
 )
 from .core import fib
 from .enumeration import (
+    _a_members,
+    _k_members,
+    _ratio_members,
     count_family_a_grid,
     require_bits_within_cap,
-    stream_family_a,
-    stream_family_k,
-    stream_ratio_family,
 )
 from .errors import DomainError, SizeLimitError
-from .finite_sets import FiniteSet
 from .verify import SUITE_ORDER, run_suite
 
 EXIT_OK = 0
@@ -176,12 +175,12 @@ def _cmd_table(args: argparse.Namespace) -> _Output:
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _render_chunk(chunk: list[FiniteSet], fmt: str) -> str:
-    """Render a nonempty chunk of members with one call of the C JSON
-    encoder.  JSON items are the encoded lists; a text line (FiniteSet's
-    canonical rendering) or a csv line is one encoded list with its brackets
-    swapped for the line's own."""
-    body = _encode_json([E.elements for E in chunk])  # "[[e1,e2],[e3]]"
+def _render_chunk(chunk: list[tuple[int, ...]], fmt: str) -> str:
+    """Render a nonempty chunk of members, given as element tuples, with one
+    call of the C JSON encoder.  JSON items are the encoded lists; a text
+    line (FiniteSet's canonical rendering) or a csv line is one encoded list
+    with its brackets swapped for the line's own."""
+    body = _encode_json(chunk)  # "[[e1,e2],[e3]]"
     if fmt == "json":
         return body[1:-1]
     before, after = ("{", "}\n") if fmt == "text" else ("", "\n")
@@ -189,7 +188,7 @@ def _render_chunk(chunk: list[FiniteSet], fmt: str) -> str:
 
 
 def _enumerate_chunks(
-    meta: dict, count: int, members: Iterator[FiniteSet], fmt: str
+    meta: dict, count: int, members: Iterator[tuple[int, ...]], fmt: str
 ) -> Iterator[str]:
     """Build and render the members one chunk at a time, so memory stays at
     one chunk whatever the count; JSON writes its count up front."""
@@ -206,10 +205,11 @@ def _enumerate_chunks(
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
+    # Each family's structured route yields element tuples, rendered as is.
     flags, stream = {
-        "A": (("k",), stream_family_a),
-        "K": ((), stream_family_k),
-        "mpq": (("p", "q"), stream_ratio_family),
+        "A": (("k",), _a_members),
+        "K": ((), _k_members),
+        "mpq": (("p", "q"), _ratio_members),
     }[args.family]
     for flag in ("k", "p", "q"):
         if (getattr(args, flag) is None) == (flag in flags):

@@ -27,16 +27,21 @@ masks from 2**seen up to 2**n, and a smaller universe reads their prefix
 below 2**n; each pinned K level and each ratio tally is kept.  The size cap
 is checked when a scan runs, so a block changes no refusal.
 
-The structured route, ``stream_family_a``, ``stream_family_k`` and
-``stream_ratio_family``, counts the members part by part without building
+The structured route counts the members part by part without building
 them, checks the count against the size cap, and returns it with an iterator
-that builds the members one by one, already in EnumOrder.  The command line
-serves it, writing members as they come, so its memory does not grow with
-the output.  Family A is counted by minimum element and listed size by size,
-passing over fewer other sets than it yields.  K and mpq share one pinned
-engine: a family is a list of parts ``(prefix, r, lo)``, each standing for
-the C(n - lo, r) members ``prefix + c + (n,)`` with c an r-subset of
-{lo..n-1}, so their listing visits members only.
+that builds the members one by one, already in EnumOrder.  Each family has
+one private counted route, ``_a_members``, ``_k_members`` and
+``_ratio_members``, whose iterator yields plain element tuples: every member
+is built strictly increasing, so there is nothing to validate.  The public
+``stream_family_a``, ``stream_family_k`` and ``stream_ratio_family`` return
+the same count and wrap each tuple in a validated ``FiniteSet``.  The command
+line reads the tuple routes and renders the tuples as they come, so its
+memory does not grow with the output and it builds no ``FiniteSet``.
+Family A is counted by minimum element and listed size by size, passing over
+fewer other sets than it yields.  K and mpq share one pinned engine: a
+family is a list of parts ``(prefix, r, lo)``, each standing for the
+C(n - lo, r) members ``prefix + c + (n,)`` with c an r-subset of {lo..n-1},
+so their listing visits members only.
 
 Canonical enumeration order (EnumOrder): ascending cardinality, then
 lexicographic on the element tuple; the empty set sorts first.  Every
@@ -122,21 +127,39 @@ def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
     return (len(E.elements), E.elements)
 
 
-def _set_of(m: int) -> FiniteSet:
-    """The set a mask stands for: bit i-1 set for each element i."""
+def _elements_of(m: int) -> tuple[int, ...]:
+    """The elements of the set a mask stands for, ascending: bit i-1 set for
+    each element i."""
     elems = []
     while m:
         low = m & -m
         elems.append(low.bit_length())
         m ^= low
-    return FiniteSet(tuple(elems))
+    return tuple(elems)
+
+
+def _set_of(m: int) -> FiniteSet:
+    """The set a mask stands for."""
+    return FiniteSet(_elements_of(m))
 
 
 def _members_in_order(masks: list[int]) -> list[FiniteSet]:
-    """Build one FiniteSet per mask and return them in EnumOrder."""
-    members = [_set_of(m) for m in masks]
-    members.sort(key=enum_order_key)
-    return members
+    """Return the sets of the masks in EnumOrder: the element tuples are
+    sorted with C comparisons, lexicographically and then stably by size,
+    and each is wrapped in a FiniteSet once."""
+    members = [_elements_of(m) for m in masks]
+    members.sort()
+    members.sort(key=len)
+    return list(map(FiniteSet, members))
+
+
+# A structured route's member count, and its members' element tuples in EnumOrder.
+_Members = tuple[int, Iterator[tuple[int, ...]]]
+
+
+def _validated(count: int, members: Iterator[tuple[int, ...]]) -> tuple[int, Iterator[FiniteSet]]:
+    """A structured route's count, with each member wrapped in a FiniteSet."""
+    return count, map(FiniteSet, members)
 
 
 # -- the naive scans, each made once inside a scan_once block ---------------
@@ -233,8 +256,9 @@ def _counts_by_min(S: tuple[int, ...], n: int) -> Iterator[int]:
         yield sum(binom(avail, t) for t in range(min(cap, avail) + 1)) << u
 
 
-def _iter_a_structured(k: int, n: int) -> Iterator[FiniteSet]:
-    """Yield every member of the bounded weight-k family, in EnumOrder.
+def _iter_a_structured(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the elements of every member of the bounded weight-k family, in
+    EnumOrder.
 
     A member of size s has min E > |E| - [k in E] >= s - 1, so it lies in
     {s..n} (hence s <= ceil(n/2)), and its min equals s only when k is in it.
@@ -242,11 +266,11 @@ def _iter_a_structured(k: int, n: int) -> Iterator[FiniteSet]:
     no sort and visits F(n+2) sets in all, fewer than twice the members
     (there are at least F(n+1) of them, whatever k is).
     """
-    yield FiniteSet()
+    yield ()
     for s in range(1, (n + 1) // 2 + 1):
         for E in itertools.combinations(range(s, n + 1), s):
             if E[0] > s or k in E:
-                yield FiniteSet(E)
+                yield E
 
 
 def _require_a_domain(k: int, n: int, what: str) -> None:
@@ -292,9 +316,10 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     return grid
 
 
-def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+def _a_members(k: int, n: int) -> _Members:
     """Return the number of members of the bounded weight-k family and an
-    iterator that builds them one by one, in EnumOrder (the serving route).
+    iterator that builds their element tuples one by one, in EnumOrder (the
+    serving route).
 
     The member count, summed by minimum, passes the size cap before the
     first member is built.
@@ -304,6 +329,12 @@ def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
         _counts_by_min((k,), n), f"stream_family_a: members of A({k}, {n})"
     )
     return count, _iter_a_structured(k, n)
+
+
+def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the bounded weight-k family and an
+    iterator that builds them one by one as FiniteSets, in EnumOrder."""
+    return _validated(*_a_members(k, n))
 
 
 def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
@@ -322,11 +353,10 @@ def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
 _Part = tuple[tuple[int, ...], int, int]
 
 
-def _stream_pinned(
-    n: int, parts: Callable[[], Iterator[_Part]], what: str
-) -> tuple[int, Iterator[FiniteSet]]:
+def _stream_pinned(n: int, parts: Callable[[], Iterator[_Part]], what: str) -> _Members:
     """Return the number of members in the parts of level n, which must
-    already be in EnumOrder, and an iterator that builds them one by one.
+    already be in EnumOrder, and an iterator that builds their element
+    tuples one by one.
 
     The part sizes C(n - lo, r) pass the size cap before the first member is
     built; ``parts`` is called once to count and once to list.
@@ -334,7 +364,7 @@ def _stream_pinned(
     count = require_within_cap((binom(n - lo, r) for _, r, lo in parts()), what)
     top = (n,)
     return count, (
-        FiniteSet(prefix + c + top)
+        prefix + c + top
         for prefix, r, lo in parts()
         for c in itertools.combinations(range(lo, n), r)
     )
@@ -364,11 +394,18 @@ def _require_k_domain(n: int, what: str) -> None:
         raise DomainError(f"{what}: n must be >= 2, got {n}")
 
 
-def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
+def _k_members(n: int) -> _Members:
     """Return the number of members of the pinned family at level n and an
-    iterator that builds them one by one, in EnumOrder (the serving route)."""
+    iterator that builds their element tuples one by one, in EnumOrder (the
+    serving route)."""
     _require_k_domain(n, "stream_family_k")
     return _stream_pinned(n, lambda: _k_parts(n), f"stream_family_k: members of K({n})")
+
+
+def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the pinned family at level n and an
+    iterator that builds them one by one as FiniteSets, in EnumOrder."""
+    return _validated(*_k_members(n))
 
 
 @_kept_by_level
@@ -459,15 +496,22 @@ def count_ratio_family(p: int, q: int, n: int) -> int:
     )
 
 
-def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+def _ratio_members(p: int, q: int, n: int) -> _Members:
     """Return the number of members of the ratio family at level n and an
-    iterator that builds them one by one, in EnumOrder (the serving route)."""
+    iterator that builds their element tuples one by one, in EnumOrder (the
+    serving route)."""
     _require_ratio_domain(p, q, n, "stream_ratio_family")
     return _stream_pinned(
         n,
         lambda: _ratio_parts(p, q, n),
         f"stream_ratio_family: members of mpq({p}, {q}, {n})",
     )
+
+
+def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
+    """Return the number of members of the ratio family at level n and an
+    iterator that builds them one by one as FiniteSets, in EnumOrder."""
+    return _validated(*_ratio_members(p, q, n))
 
 
 def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:

@@ -18,11 +18,18 @@ import schreier.core as core
 from schreier import cli, enumeration
 from schreier.closed_forms import ratio_recurrence
 from schreier.enumeration import enumerate_family_a, enumerate_family_k, enumerate_ratio_family
+from schreier.finite_sets import FiniteSet
 from schreier.verify import SUITE_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
 VERIFY_SMALL_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all_small.txt"
+ENUMERATE_GOLDENS = {
+    "enumerate_a_3_9.txt": ["--family", "A", "--k", "3", "--n", "9", "--format", "text"],
+    "enumerate_k_11.csv": ["--family", "K", "--n", "11", "--format", "csv"],
+    "enumerate_mpq_1_2_9.json": ["--family", "mpq", "--p", "1", "--q", "2", "--n", "9",
+                                 "--format", "json"],
+}
 
 
 def run_cli(args):
@@ -186,6 +193,38 @@ def test_enumerate_renders_the_oracle_members(capsys):
         for fmt, text in want.items():
             code, out, _ = main_out(capsys, ["enumerate", *argv, "--format", fmt])
             assert (code, out) == (0, text), (argv, fmt)
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE_GOLDENS))
+def test_enumerate_matches_golden_file(name):
+    result = run_cli(["enumerate", *ENUMERATE_GOLDENS[name]])
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN.parent / name).read_bytes()
+
+
+def test_enumerate_builds_no_finite_set(capsys, monkeypatch):
+    # The command line renders the element tuples of the structured routes;
+    # only the library's public stream_* wrap them in FiniteSets.
+    built = 0
+    check = FiniteSet.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(FiniteSet, "__post_init__", counted)
+    for argv in (
+        ["--family", "A", "--k", "3", "--n", "12"],
+        ["--family", "K", "--n", "14"],
+        ["--family", "mpq", "--p", "1", "--q", "2", "--n", "12"],
+    ):
+        for fmt in ("text", "csv", "json"):
+            code, out, _ = main_out(capsys, ["enumerate", *argv, "--format", fmt])
+            assert code == 0 and out, (argv, fmt)
+    assert built == 0
+    FiniteSet.of(1)  # the counter is live
+    assert built == 1
 
 
 class _Discard:

@@ -34,6 +34,27 @@ def streamed(route, *args):
     return list(route(*args)[1])
 
 
+@pytest.mark.parametrize(
+    "stream, members, args",
+    [
+        (stream_family_a, enumeration._a_members, (3, 12)),
+        (stream_family_a, enumeration._a_members, (10**12, 9)),
+        (stream_family_k, enumeration._k_members, (16,)),
+        (stream_ratio_family, enumeration._ratio_members, (1, 2, 12)),
+        (stream_ratio_family, enumeration._ratio_members, (3, 1, 14)),
+    ],
+)
+def test_public_streams_wrap_the_tuple_routes(stream, members, args):
+    # The serving route yields plain element tuples; its public stream has
+    # the same count and the same members, in order, as FiniteSets.
+    count, sets = stream(*args)
+    tuple_count, tuples = members(*args)
+    tuples = list(tuples)
+    assert count == tuple_count == len(tuples)
+    assert all(type(t) is tuple for t in tuples)
+    assert list(sets) == [FiniteSet(t) for t in tuples]
+
+
 def test_enumerate_family_a_small_examples():
     for route in (enumerate_family_a, lambda k, n: streamed(stream_family_a, k, n)):
         assert canon(route(1, 1)) == ["{}", "{1}"]
