@@ -15,17 +15,24 @@ bitmask and tests the defining inequality directly, so it is the independent
 ground truth for the closed forms and for the structured route.  Family A's
 scan keeps the candidates, the sets with min >= size, which hold every
 member for every k; the one member predicate then runs over them, so
-``count_family_a``, ``enumerate_family_a`` and the whole (k, n) grid of
-``count_family_a_grid`` all read one scan of {1..n}.  ``enumerate_family_k``
-and ``enumerate_ratio_family`` scan one pinned level; ``ratio_tally`` scans
-one and counts its subsets by (min, size), and ``count_ratio_family`` reads
-its (p, q) off that tally.  Every scan takes its masks from ``_scan``.
+``enumerate_family_a`` and the whole (k, n) grid of ``count_family_a_grid``
+read one scan of {1..n}.  ``count_family_a`` counts by the split tally
+``_split_count``, the meet-in-the-middle split of Horowitz and Sahni (JACM
+1974): each subset of {1..n} is one pair of its parts in {1..h} and
+{h+1..n}, h = n // 2, and a member depends only on its min and its weight,
+so one mask scan of each half, tallied by (min, weight), counts every pair
+with no binomial or Fibonacci identity, at a cost of 2**h + 2**(n-h) masks.
+``enumerate_family_k`` and ``enumerate_ratio_family`` scan one pinned
+level; ``ratio_tally`` scans one and counts its subsets by (min, size), and
+``count_ratio_family`` reads its (p, q) off that tally.  Every scan takes
+its masks from ``_scan``.
 
 Inside a ``with scan_once():`` block each naive scan is made once: family
 A's candidates grow to the largest universe read so far, scanning only the
 masks from 2**seen up to 2**n, and a smaller universe reads their prefix
-below 2**n; each pinned K level and each ratio tally is kept.  The size cap
-is checked when a scan runs, so a block changes no refusal.
+below 2**n; each pinned K level and each ratio tally is kept.  The split
+tally's half scans are small and never kept.  The size cap is checked when
+a scan runs, so a block changes no refusal.
 
 The structured route counts the members part by part without building
 them, checks the count against the size cap, and returns it with an iterator
@@ -50,16 +57,21 @@ enumeration function returns its results in this order.
 Bitmask convention: a mask is the whole set, with bit i-1 standing for
 element i.  Family A scans [0, 2**n), every subset of {1..n}; the pinned
 families K and mpq scan [2**(n-1), 2**n), the subsets whose top bit is the
-maximum n, so each family is one predicate on the mask.
+maximum n, so each family is one predicate on the mask.  A half of the
+split tally scans [1, 2**w) for the nonempty subsets of {lo+1..lo+w},
+shifted down by lo.
 
 Size cap: before it builds any set, every route counts the candidate sets it
 will visit, part by part, and is refused at the first partial sum past
 ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails at once.  A naive
-scan of {1..n} counts 2**n (2**(n-1) for a pinned level).  The structured
-routes count their members: each a(k, n) is at least F(n+1), so every
-n >= 36 is refused for A; K(n) = F(n-1), so n <= 37 passes; and
-mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are
-streamed, the cap bounds time, not memory.
+scan of {1..n} counts 2**n (2**(n-1) for a pinned level), so family A's
+scan stops at n = 24.  The split tally counts 2**h + 2**(n-h), half by
+half, so ``count_family_a`` passes up to n = 46 (2**23 + 2**23) and refuses
+n = 47 or 10**12 before it builds any power of two.  The structured routes
+count their members: each a(k, n) is at least F(n+1), so every n >= 36 is
+refused for A; K(n) = F(n-1), so n <= 37 passes; and mpq(1, 1, n) = F(n),
+so n <= 36 passes there.  Since the members are streamed, the cap bounds
+time, not memory.
 
 The formula routes (count tables and sequences) have one cap of their own:
 a value at index n is below 2**n (a(k, n) <= 2**n, F(n) < 2**n, a binomial
@@ -113,13 +125,16 @@ def require_bits_within_cap(bits: int, what: str) -> None:
         )
 
 
+def _subsets_by_max(n: int) -> Iterator[int]:
+    """The 2**n subsets of {1..n} counted by their maximum: the empty set,
+    then 2**(i-1) with maximum i."""
+    return itertools.chain((1,), (1 << (i - 1) for i in range(1, n + 1)))
+
+
 def require_scan_within_cap(n: int, what: str) -> None:
-    """Refuse a scan of the 2**n subsets of {1..n}, counted by their maximum
-    (the empty set, then 2**(i-1) with maximum i), beyond the size cap."""
-    require_within_cap(
-        itertools.chain((1,), (1 << (i - 1) for i in range(1, n + 1))),
-        f"{what}: scan of 2^{n} subsets",
-    )
+    """Refuse a scan of the 2**n subsets of {1..n}, counted part by part,
+    beyond the size cap."""
+    require_within_cap(_subsets_by_max(n), f"{what}: scan of 2^{n} subsets")
 
 
 def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
@@ -256,6 +271,58 @@ def _counts_by_min(S: tuple[int, ...], n: int) -> Iterator[int]:
         yield sum(binom(avail, t) for t in range(min(cap, avail) + 1)) << u
 
 
+def _half_tally(S: tuple[int, ...], lo: int, width: int, what: str) -> Counter:
+    """Tally the subsets of {lo+1..lo+width} by (min, weight): the min is 0
+    for the empty set, and the weight counts the elements outside S.
+
+    The masks of ``_scan(0, width)`` stand for the subsets shifted down by
+    lo.  Those whose min is lo + i are every 2**i-th mask from 2**(i-1), one
+    stride of the scan each, so only their weighted bits are counted.
+    """
+    weighted = ((1 << width) - 1) ^ sum(1 << (s - lo - 1) for s in S if lo < s <= lo + width)
+    masks = _scan(0, width, what)
+    tally = Counter({(0, 0): 1})  # the empty set; the scan starts at mask 1
+    for i in range(1, width + 1):
+        low = 1 << (i - 1)
+        stride = masks[low - 1 :: low << 1]  # mask low is the scan's item low - 1
+        for weight, count in Counter(map(int.bit_count, map(weighted.__and__, stride))).items():
+            tally[lo + i, weight] = count
+    return tally
+
+
+def _join_halves(low: Counter, high: Counter) -> int:
+    """Count the members of the zero-weight family whose parts below and
+    above the split fall in the classes of the two tallies: the min is the
+    low part's unless that part is empty, and the weights add.  A pair of
+    classes counts when both parts are empty or when its min exceeds its
+    weight, and then every one of its low_count * high_count sets does."""
+    count = 0
+    for (low_min, low_weight), low_count in low.items():
+        for (high_min, high_weight), high_count in high.items():
+            least = low_min or high_min
+            if least == 0 or least > low_weight + high_weight:
+                count += low_count * high_count
+    return count
+
+
+def _split_count(S: tuple[int, ...], n: int, what: str) -> int:
+    """Count the zero-weight-S family over {1..n}, empty set included, from
+    the split of {1..n} at h = n // 2: each E is exactly one pair
+    (E & {1..h}, E & {h+1..n}), and two tallies of the halves' subsets by
+    (min, weight) count every pair at once.  A half of width w has at most
+    (w + 1)**2 classes.
+
+    The 2**h + 2**(n-h) masks of the two scans pass the size cap part by
+    part before the first is visited, so a huge n is refused at once.
+    """
+    h = n // 2
+    require_within_cap(
+        itertools.chain(_subsets_by_max(h), _subsets_by_max(n - h)),
+        f"{what}: split scan of 2^{h} + 2^{n - h} subsets",
+    )
+    return _join_halves(_half_tally(S, 0, h, what), _half_tally(S, h, n - h, what))
+
+
 def _iter_a_structured(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield the elements of every member of the bounded weight-k family, in
     EnumOrder.
@@ -282,9 +349,11 @@ def _require_a_domain(k: int, n: int, what: str) -> None:
 
 def count_family_a(k: int, n: int) -> int:
     """Count the bounded weight-k family over {1..n}, empty set included, by
-    scanning all 2**n subsets (the oracle for ``stream_family_a``'s count)."""
+    brute force over every subset: the split tally of S = {k}, which scans
+    2**(n//2) + 2**(n - n//2) masks (the oracle for ``stream_family_a``'s
+    count)."""
     _require_a_domain(k, n, "count_family_a")
-    return len(_a_member_masks(k, n, _a_candidate_masks(n, "count_family_a")))
+    return _split_count((k,), n, "count_family_a")
 
 
 def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:

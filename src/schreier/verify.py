@@ -8,9 +8,12 @@ brute-force oracle or an independently computed route.
 
 Each suite that reads a naive oracle reads it inside one
 ``enumeration.scan_once`` block, so every scan is made once per suite run:
-thm1_1's diagonal counts and partitions and prop3_1's counts read one scan
-of family A's candidates, grown to the largest universe, and so do rec3_1's
-partitions; thm1_4 scans each pinned level once for its cross-checks and
+thm1_1's partitions read one scan of family A's candidates, grown to the
+largest universe they read, {1..17} by default, and so do rec3_1's.
+thm1_1 checks each diagonal count a(n, n) of ``count_family_a``'s split
+tally against 2F(n), and up to that universe against the count its
+candidate scan gives too; prop3_1's oracle counts are split tallies as
+well.  thm1_4 scans each pinned level once for its cross-checks and
 partitions, and mpq reads all nine (p, q) counts of a level off one tally.
 A block never spans two suites.  eq1_2 tests the oracle's own mask rule
 against the Schreier classes worked out from the bits of every subset of
@@ -46,6 +49,7 @@ from .closed_forms import (
 )
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
+    _a_candidate_masks,
     _a_member_masks,
     _scan,
     _set_of,
@@ -118,12 +122,23 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
     enum_top = n_max if n_max is not None else 22
     formula_top = n_max if n_max is not None else 500
     part_top = n_max if n_max is not None else 16
-    # The partition at level n scans the (n+1)-diagonal.
-    require_scan_within_cap(max(enum_top, part_top + 1), "suite thm1_1")
+    # The partition at level n scans the (n+1)-diagonal; the split tallies
+    # of the diagonal counts check their own cap.
+    scan_top = part_top + 1
+    require_scan_within_cap(scan_top, "suite thm1_1")
+
+    def diagonal_cases():
+        # The split tally's count, and up to scan_top the candidate scan's.
+        for n in range(1, enum_top + 1):
+            got, want = count_family_a(n, n), diagonal_count(n)
+            if n <= scan_top:
+                masks = _a_member_masks(n, n, _a_candidate_masks(n, "suite thm1_1"))
+                got, want = (got, len(masks)), (want, want)
+            yield (f"n={n}", got, want)
+
     # One scan of family A's candidates, dropped before the double sums
     # grow their own table.
     with scan_once():
-        diagonal = [count_family_a(n, n) for n in range(1, enum_top + 1)]
         partition = _run_checks(
             "diagonal-partition",
             f"n=2..{part_top}",
@@ -132,15 +147,11 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 for n in range(2, part_top + 1)
             ),
         )
+        diagonal = _run_checks(
+            "diagonal-count-vs-enumeration", f"n=1..{enum_top}", diagonal_cases()
+        )
     return [
-        _run_checks(
-            "diagonal-count-vs-enumeration",
-            f"n=1..{enum_top}",
-            (
-                (f"n={n}", diagonal[n - 1], diagonal_count(n))
-                for n in range(1, enum_top + 1)
-            ),
-        ),
+        diagonal,
         _run_checks(
             "diagonal-closed-vs-double-sum-vs-2fib",
             f"n=1..{formula_top}",

@@ -290,8 +290,13 @@ def test_scan_once_is_shared_only_inside_its_block(monkeypatch):
         assert verify_partition("thm1_1", 4).ok  # another kind reads the same candidates
         with scan_once():  # a nested block shares the outer one
             assert verify_partition("rec3_1", 11, 3).ok  # only the masks past 2**10
-        assert count_family_a(3, 11) == closed_count(3, 11)  # still kept after the nested block
+        # still kept after the nested block
+        assert len(enumerate_family_a(3, 11)) == closed_count(3, 11)
         assert scans == [(0, 5), (5, 10), (10, 11)]
+        # count_family_a reads no kept scan: its split tally scans the
+        # subsets of {1..5} and of {6..11}, shifted down by 5.
+        assert count_family_a(3, 11) == closed_count(3, 11)
+        assert scans == [(0, 5), (5, 10), (10, 11), (0, 5), (0, 6)]
     scans.clear()
     assert verify_partition("rec3_1", 5, 3).ok  # after the block, a scan of its own
     assert scans == [(0, 5)]
@@ -307,16 +312,20 @@ def test_scan_once_checks_the_cap_only_when_a_scan_runs(monkeypatch):
     refusals = []
     for _ in range(2):
         with pytest.raises(SizeLimitError) as refused:
-            count_family_a(3, 25)
+            enumerate_family_a(3, 25)
         refusals.append(str(refused.value))
+        with pytest.raises(SizeLimitError):
+            count_family_a(3, 47)  # the split tally's halves, 2^23 + 2^24 masks
         with scan_once():
             pass  # a block that reads nothing scans nothing
     assert scans == []
     with scan_once():
         assert verify_partition("thm1_1", 5).ok
         with pytest.raises(SizeLimitError) as refused:
-            count_family_a(3, 25)  # refused when first read, before any mask
+            enumerate_family_a(3, 25)  # refused when first read, before any mask
         refusals.append(str(refused.value))
+        with pytest.raises(SizeLimitError):
+            count_family_a(3, 47)
         with pytest.raises(SizeLimitError):
             enumerate_family_k(26)
         with pytest.raises(SizeLimitError):

@@ -1,11 +1,13 @@
 """Oracles and structured routes: enumeration order, counts, size caps."""
 
+import time
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from schreier import enumeration
-from schreier.closed_forms import family_k_count, ratio_recurrence
+from schreier.closed_forms import closed_count, family_k_count, ratio_recurrence
 from schreier.core import binom, fib
 from schreier.enumeration import (
     count_family_a,
@@ -218,6 +220,51 @@ def test_counts_by_min_follow_the_zero_weight_rule():
             assert list(enumeration._counts_by_min(S.elements, n)) == want, (S, n)
 
 
+def test_split_tally_joins_to_the_mask_scan_at_every_split():
+    # For every zero-weight set S in {1..8} and universe {1..n}, n <= 14,
+    # the tallies of {1..h} and {h+1..n} join, at every split point h, to
+    # the members a mask scan keeps plus the empty set.  A tally depends on
+    # S only through the elements of S in its half, so each is made once.
+    tallies = {}
+
+    def tally(S, lo, width):
+        key = (lo, width, tuple(s for s in S if lo < s <= lo + width))
+        if key not in tallies:
+            tallies[key] = enumeration._half_tally(S, lo, width, "test")
+        return tallies[key]
+
+    for z in range(1 << 8):
+        S = enumeration._set_of(z).elements
+        by_max = Counter(
+            m.bit_length() for m in enumeration._zero_weight_masks(S, 14, range(1 << 14))
+        )
+        want = list(accumulate(by_max[n] for n in range(15)))  # by_max[0] == 0
+        for n in range(1, 15):
+            for h in range(n + 1):
+                joined = enumeration._join_halves(tally(S, 0, h), tally(S, h, n - h))
+                assert joined == want[n] + 1, (S, n, h)
+        assert enumeration._split_count(S, 14, "test") == want[14] + 1, S
+
+
+def test_half_tally_counts_subsets_by_min_and_weight():
+    # Against FiniteSets of {lo+1..lo+w}: (min or 0, elements outside S).
+    S = (2, 5, 6, 9)
+    for lo in range(5):
+        subsets = [FiniteSet()]
+        for w in range(1, 9):
+            subsets += [FiniteSet(E.elements + (lo + w,)) for E in subsets]
+            want = Counter(
+                (E.min if E else 0, sum(x not in S for x in E.elements)) for E in subsets
+            )
+            assert enumeration._half_tally(S, lo, w, "test") == want, (lo, w)
+
+
+def test_split_count_reaches_past_the_full_scan():
+    # The first brute-force counts past the 2^24 scan of {1..n}.
+    for k, n in ((30, 30), (40, 40), (3, 36)):
+        assert count_family_a(k, n) == closed_count(k, n), (k, n)
+
+
 def test_family_k_is_the_zero_weight_family_of_two_and_three():
     # K(n) is the members of A_{2,3} with maximum n, less the n - 2 sets
     # {x, n} with 1 < x < n (each a member there, none in K).
@@ -259,9 +306,25 @@ def test_mask_scans_agree_with_set_predicates():
                 assert streamed(stream_ratio_family, p, q, n) == want, (p, q, n)
 
 
-def test_size_caps():
-    with pytest.raises(SizeLimitError):
-        count_family_a(1, 25)
+def test_size_caps(monkeypatch):
+    # Every refusal comes before the first mask: a scan here fails the test.
+    class Scanned(Exception):
+        pass
+
+    def scan(seen, n, what):
+        raise Scanned
+
+    monkeypatch.setattr(enumeration, "_scan", scan)
+    # count_family_a's split tally visits 2^(n//2) + 2^(n - n//2) masks:
+    # n = 46 fills the cap exactly, so it passes and reaches the scan, while
+    # n = 47 and 10**12 are refused at once, with no 2^h-sized int built.
+    with pytest.raises(Scanned):
+        count_family_a(1, 46)
+    for n in (47, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="count_family_a: split scan of 2\\^"):
+            count_family_a(1, n)
+        assert time.perf_counter() - start < 1
     with pytest.raises(SizeLimitError):
         count_family_a_grid(1, 25)
     # The grid's k_max * |candidates| predicate tests count against the cap.

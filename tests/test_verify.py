@@ -133,18 +133,31 @@ def test_thm1_4_scans_each_pinned_level_once(monkeypatch):
 
 
 def test_thm1_1_reads_its_diagonal_off_one_scan(monkeypatch):
-    # a(n, n) for n = 1..22 grows one candidate scan universe by universe:
-    # 2**22 - 1 masks in all, and the partitions add none.
+    # The partitions grow one candidate scan to {1..17}, and the diagonal's
+    # mask counts for n <= 17 read it; each a(n, n), n = 1..22, is also a
+    # split tally of two half scans.  That is 2**17 - 1 + 14,285 masks, not
+    # the 2**22 - 1 of a candidate scan grown to 22.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite("thm1_1"))
-    assert scans == [(n - 1, n, "count_family_a") for n in range(1, 23)]
-    assert sum((1 << n) - (1 << seen) for seen, n, _ in scans) == 2**22 - 1
+    assert scans == [(n - 1, n, "partitions thm1_1") for n in range(1, 18)] + [
+        half
+        for n in range(1, 23)
+        for half in ((0, n // 2, "count_family_a"), (0, n - n // 2, "count_family_a"))
+    ]
+    masks = sum((1 << n) - (1 << seen) for seen, n, _ in scans)
+    assert masks == 145_356 <= 2**18
 
 
 def test_prop3_1_reads_its_oracle_counts_off_one_scan(monkeypatch):
+    # Each oracle count is a split tally: two half scans, no candidate scan.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite("prop3_1"))
-    assert scans == [(n - 1, n, "count_family_a") for n in range(1, 15)]
+    assert scans == [
+        half
+        for n in range(1, 15)
+        for _k in (n + 1, n + 3)
+        for half in ((0, n // 2, "count_family_a"), (0, n - n // 2, "count_family_a"))
+    ]
 
 
 def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
@@ -192,16 +205,19 @@ def test_rec3_1_tests_two_levels_per_check(monkeypatch):
 @pytest.mark.parametrize("suite, kind", [("thm1_1", "thm1_1"), ("rec3_1", "rec3_1")])
 def test_family_a_partitions_read_one_scan(monkeypatch, suite, kind):
     # Family A's candidates grow universe by universe, so each mask of the
-    # largest universe is visited once: thm1_1's partitions read the scan
-    # of {1..22} its diagonal grew, and rec3_1's grow one scan of {1..16}.
+    # largest universe is visited once: thm1_1's partitions grow one scan of
+    # {1..17}, which its diagonal's mask counts read, and rec3_1's grow one
+    # scan of {1..16}.  thm1_1's split tallies scan their halves apart.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite(suite))
-    steps = [(seen, n) for seen, n, _ in scans]
-    top = 22 if kind == "thm1_1" else 16
+    halves = [(seen, n) for seen, n, what in scans if what == "count_family_a"]
+    steps = [(seen, n) for seen, n, what in scans if what != "count_family_a"]
+    top = 17 if kind == "thm1_1" else 16
     assert steps[0][0] == 0 and steps[-1][1] == top
     assert all(seen == n for (_, n), (seen, _) in zip(steps, steps[1:]))
-    reader = "count_family_a" if kind == "thm1_1" else f"partitions {kind}"
-    assert {what for _, _, what in scans} == {reader}
+    assert {what for _, _, what in scans} - {"count_family_a"} == {f"partitions {kind}"}
+    assert len(halves) == (44 if kind == "thm1_1" else 0)
+    assert all(seen == 0 and n <= 11 for seen, n in halves)
 
 
 def test_mpq_scans_each_level_once(monkeypatch):
