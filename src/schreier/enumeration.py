@@ -16,23 +16,25 @@ ground truth for the closed forms and for the structured route.  Family A's
 scan keeps the candidates, the sets with min >= size, which hold every
 member for every k; the one member predicate then runs over them, so
 ``enumerate_family_a`` and the whole (k, n) grid of ``count_family_a_grid``
-read one scan of {1..n}.  ``count_family_a`` counts by the split tally
-``_split_count``, the meet-in-the-middle split of Horowitz and Sahni (JACM
-1974): each subset of {1..n} is one pair of its parts in {1..h} and
-{h+1..n}, h = n // 2, and a member depends only on its min and its weight,
-so one mask scan of each half, tallied by (min, weight), counts every pair
-with no binomial or Fibonacci identity, at a cost of 2**h + 2**(n-h) masks.
-``enumerate_family_k`` and ``enumerate_ratio_family`` scan one pinned
-level; ``ratio_tally`` scans one and counts its subsets by (min, size), and
-``count_ratio_family`` reads its (p, q) off that tally.  Every scan takes
-its masks from ``_scan``.
+read one scan of {1..n}.  ``count_family_a`` and ``count_ratio_family``
+count by the split tally ``_split_count``, the meet-in-the-middle split of
+Horowitz and Sahni (JACM 1974): each subset of {1..n} is one pair of its
+parts in {1..h} and {h+1..n}, h = n // 2, and membership in either family
+depends only on a set's min and its weight, so one mask scan of each
+half, tallied by (min, weight), counts every pair with no binomial or
+Fibonacci identity, at a cost of 2**h + 2**(n-h) masks.  The family's rule
+is one argument, ``admits(least, weight)``: A's is "empty, or least >
+weight" with S = {k}; mpq's members are the subsets F of {1..n-1} plus n,
+so it splits {1..n-1} with S empty and tests min F (n for F empty) and
+|F| + 1.  ``enumerate_family_k`` and ``enumerate_ratio_family`` scan one
+pinned level.  Every scan takes its masks from ``_scan``.
 
 Inside a ``with scan_once():`` block each naive scan is made once: family
 A's candidates grow to the largest universe read so far, scanning only the
 masks from 2**seen up to 2**n, and a smaller universe reads their prefix
-below 2**n; each pinned K level and each ratio tally is kept.  The split
-tally's half scans are small and never kept.  The size cap is checked when
-a scan runs, so a block changes no refusal.
+below 2**n; each pinned K level is kept.  The split tally's half scans are
+small and never kept.  The size cap is checked when a scan runs, so a block
+changes no refusal.
 
 The structured route counts the members part by part without building
 them, checks the count against the size cap, and returns it with an iterator
@@ -66,11 +68,12 @@ will visit, part by part, and is refused at the first partial sum past
 ``MAX_CANDIDATES`` = 2**24, so even n in the millions fails at once.  A naive
 scan of {1..n} counts 2**n (2**(n-1) for a pinned level), so family A's
 scan stops at n = 24.  The split tally counts 2**h + 2**(n-h), half by
-half, so ``count_family_a`` passes up to n = 46 (2**23 + 2**23) and refuses
-n = 47 or 10**12 before it builds any power of two.  The structured routes
-count their members: each a(k, n) is at least F(n+1), so every n >= 36 is
-refused for A; K(n) = F(n-1), so n <= 37 passes; and mpq(1, 1, n) = F(n),
-so n <= 36 passes there.  Since the members are streamed, the cap bounds
+half, so ``count_family_a`` passes up to n = 46 (2**23 + 2**23), and
+``count_ratio_family``, which splits {1..n-1}, up to n = 47; each refuses
+the next n, or 10**12, before it builds any power of two.  The structured
+routes count their members: each a(k, n) is at least F(n+1), so every
+n >= 36 is refused for A; K(n) = F(n-1), so n <= 37 passes; and
+mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are streamed, the cap bounds
 time, not memory.
 
 The formula routes (count tables and sequences) have one cap of their own:
@@ -82,7 +85,6 @@ of their indices in bits, known before the first term.  It is refused past
 
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from collections import Counter
@@ -181,7 +183,7 @@ def _validated(count: int, members: Iterator[tuple[int, ...]]) -> tuple[int, Ite
 
 # What the scans of the open ``scan_once`` block found, None outside any
 # block: "A" holds (seen, family A's candidates below 2**seen), and
-# (scan, n) the result of a pinned level's scan.
+# ("K", n) the members of K's pinned level n.
 _kept: Optional[dict[Any, Any]] = None
 
 
@@ -202,19 +204,6 @@ def _scan(seen: int, n: int, what: str) -> range:
     """The masks from 2**seen up to 2**n, which the scan named ``what``
     visits: every naive scan takes its masks here."""
     return range(1 << seen, 1 << n)
-
-
-def _kept_by_level(scan: Callable[..., Any]) -> Callable[..., Any]:
-    """Inside a ``scan_once`` block, run ``scan(n, ...)`` once per level n."""
-
-    @functools.wraps(scan)
-    def once(n: int, *args: Any) -> Any:
-        kept = {} if _kept is None else _kept
-        if (scan, n) not in kept:
-            kept[scan, n] = scan(n, *args)
-        return kept[scan, n]
-
-    return once
 
 
 # -- family A: weight-k admissible sets with max <= n -----------------------
@@ -290,37 +279,43 @@ def _half_tally(S: tuple[int, ...], lo: int, width: int, what: str) -> Counter:
     return tally
 
 
-def _join_halves(low: Counter, high: Counter) -> int:
-    """Count the members of the zero-weight family whose parts below and
-    above the split fall in the classes of the two tallies: the min is the
-    low part's unless that part is empty, and the weights add.  A pair of
-    classes counts when both parts are empty or when its min exceeds its
-    weight, and then every one of its low_count * high_count sets does."""
+def _join_halves(low: Counter, high: Counter, admits: Callable[[int, int], bool]) -> int:
+    """Count the sets whose parts below and above the split fall in the
+    classes of the two tallies and which the family's rule admits.  A pair
+    of classes is tested once, as ``admits(least, weight)``: the least
+    element is the low part's unless that part is empty (0 when both are),
+    and the weights add.  Every one of its low_count * high_count sets then
+    counts."""
     count = 0
     for (low_min, low_weight), low_count in low.items():
         for (high_min, high_weight), high_count in high.items():
-            least = low_min or high_min
-            if least == 0 or least > low_weight + high_weight:
+            if admits(low_min or high_min, low_weight + high_weight):
                 count += low_count * high_count
     return count
 
 
-def _split_count(S: tuple[int, ...], n: int, what: str) -> int:
-    """Count the zero-weight-S family over {1..n}, empty set included, from
-    the split of {1..n} at h = n // 2: each E is exactly one pair
-    (E & {1..h}, E & {h+1..n}), and two tallies of the halves' subsets by
-    (min, weight) count every pair at once.  A half of width w has at most
-    (w + 1)**2 classes.
+def _split_parts(n: int) -> Iterator[int]:
+    """The masks the split tally of {1..n} visits, part by part: the subsets
+    of {1..h}, h = n // 2, then those of {h+1..n}, each counted by maximum."""
+    h = n // 2
+    return itertools.chain(_subsets_by_max(h), _subsets_by_max(n - h))
+
+
+def _split_count(
+    S: tuple[int, ...], n: int, admits: Callable[[int, int], bool], what: str
+) -> int:
+    """Count the subsets of {1..n}, empty set included, that ``admits(least,
+    weight)`` keeps, from the split of {1..n} at h = n // 2: each E is
+    exactly one pair (E & {1..h}, E & {h+1..n}), and two tallies of the
+    halves' subsets by (min, weight outside S) count every pair at once.  A
+    half of width w has at most (w + 1)**2 classes.
 
     The 2**h + 2**(n-h) masks of the two scans pass the size cap part by
     part before the first is visited, so a huge n is refused at once.
     """
     h = n // 2
-    require_within_cap(
-        itertools.chain(_subsets_by_max(h), _subsets_by_max(n - h)),
-        f"{what}: split scan of 2^{h} + 2^{n - h} subsets",
-    )
-    return _join_halves(_half_tally(S, 0, h, what), _half_tally(S, h, n - h, what))
+    require_within_cap(_split_parts(n), f"{what}: split scan of 2^{h} + 2^{n - h} subsets")
+    return _join_halves(_half_tally(S, 0, h, what), _half_tally(S, h, n - h, what), admits)
 
 
 def _iter_a_structured(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -353,7 +348,9 @@ def count_family_a(k: int, n: int) -> int:
     2**(n//2) + 2**(n - n//2) masks (the oracle for ``stream_family_a``'s
     count)."""
     _require_a_domain(k, n, "count_family_a")
-    return _split_count((k,), n, "count_family_a")
+    return _split_count(
+        (k,), n, lambda least, weight: least == 0 or least > weight, "count_family_a"
+    )
 
 
 def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
@@ -477,14 +474,16 @@ def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
     return _validated(*_k_members(n))
 
 
-@_kept_by_level
 def _k_member_masks(n: int, what: str) -> list[int]:
     """Scan the 2**(n-1) subsets of {1..n} with maximum n and keep, in
     ascending order, those whose min exceeds their weight with S = {2, 3},
     then drop those of size 2."""
-    require_scan_within_cap(n - 1, what)
-    level = _zero_weight_masks((2, 3), n, _scan(n - 1, n, what))
-    return [m for m in level if m.bit_count() != 2]
+    kept = {} if _kept is None else _kept
+    if ("K", n) not in kept:
+        require_scan_within_cap(n - 1, what)
+        level = _zero_weight_masks((2, 3), n, _scan(n - 1, n, what))
+        kept["K", n] = [m for m in level if m.bit_count() != 2]
+    return kept["K", n]
 
 
 def enumerate_family_k(n: int) -> list[FiniteSet]:
@@ -534,34 +533,17 @@ def _ratio_parts(p: int, q: int, n: int) -> Iterator[_Part]:
         s += 1
 
 
-@_kept_by_level
-def ratio_tally(n: int) -> dict[tuple[int, int], int]:
-    """Scan the 2**(n-1) subsets of {1..n} with maximum n and count them by
-    (min, size), the two numbers every ratio family tests.
-
-    The subsets with min lo are the masks of the level congruent to
-    2**(lo-1) modulo 2**lo, one stride of the range each, so every subset
-    is visited once and only its size is computed.
-    """
-    if n < 1:
-        raise DomainError(f"ratio_tally: n must be >= 1, got {n}")
-    require_scan_within_cap(n - 1, "ratio_tally")
-    level = _scan(n - 1, n, "ratio_tally")
-    tally = {}
-    for lo in range(1, n + 1):
-        low = 1 << (lo - 1)
-        sizes = Counter(map(int.bit_count, range(level.start | low, level.stop, low << 1)))
-        for size, count in sizes.items():
-            tally[lo, size] = count
-    return tally
-
-
 def count_ratio_family(p: int, q: int, n: int) -> int:
-    """Count sets with max = n and q * min >= p * size, by exhaustive scan:
-    the members read off the level's ``ratio_tally``."""
+    """Count sets with max = n and q * min >= p * size, by brute force over
+    every subset: each member is a subset F of {1..n-1} plus n, so the split
+    tally of {1..n-1}, with S empty, tests min F (n when F is empty) and
+    |F| + 1, scanning 2**((n-1)//2) + 2**(n-1 - (n-1)//2) masks."""
     _require_ratio_domain(p, q, n, "count_ratio_family")
-    return sum(
-        count for (lo, size), count in ratio_tally(n).items() if _ratio_admits(p, q, lo, size)
+    return _split_count(
+        (),
+        n - 1,
+        lambda least, weight: _ratio_admits(p, q, least or n, weight + 1),
+        "count_ratio_family",
     )
 
 

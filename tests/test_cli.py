@@ -464,6 +464,20 @@ def test_size_limit_exits_three(capsys):
     assert err.startswith("schreier: ")
 
 
+def test_mpq_suite_counts_its_split_scans_before_the_first(capsys, monkeypatch):
+    # The nine families' split tallies of {1..n-1}, n <= n_max, visit more
+    # than 2^24 masks in all from n_max = 38 on (16,515,027 at 37).
+    scans = []
+    monkeypatch.setattr(enumeration, "_scan", lambda *args: scans.append(args))
+    for n_max in ("38", str(10**12)):
+        start = time.perf_counter()
+        code, out, err = main_out(capsys, ["verify", "--suite", "mpq", "--n-max", n_max])
+        assert time.perf_counter() - start < 1, n_max
+        assert (code, out) == (3, ""), n_max
+        assert err.startswith("schreier: suite mpq: 9 x "), n_max
+    assert scans == []
+
+
 def test_oracle_table_is_counted_over_its_whole_grid(capsys, monkeypatch):
     # Before its one scan the grid counts the scan's 2**n_max subsets, then
     # its k_max * (F(n_max+2) - 1) predicate tests: 17016 * 986 is past the
@@ -518,7 +532,6 @@ def test_oversized_requests_are_refused_before_any_work(capsys):
         ["verify", "--suite", "thm1_4", "--n-max", "25"],
         ["verify", "--suite", "thm1_1", "--n-max", "24"],
         ["verify", "--suite", "rec3_1", "--n-max", "25", "--k-max", "3"],
-        ["verify", "--suite", "mpq", "--n-max", "26"],
         # The formula routes are bounded by the bits of the values they hold.
         ["table", "--source", "recurrence", "--k-max", "100000", "--n-max", "100000"],
         ["table", "--source", "closed", "--k-max", "2", "--n-max", "1000000"],

@@ -194,10 +194,13 @@ def test_ratio_recurrence_matches_oracle():
 
 
 def test_ratio_recurrence_seeds_its_base_past_the_oracle_cap():
-    # The base runs to n = 26, whose scan of 2^25 subsets the oracle refuses;
-    # the part sums seed it with no scan, and level 40's own part sum agrees.
+    # The base runs to n = 26, past a full scan of its level's 2^25 subsets;
+    # the part sums seed it with no scan.  The oracle's split tally reaches
+    # level 26 and agrees, but refuses level 48, and level 40's own part sum
+    # agrees.
+    assert ratio_recurrence(13, 14, 26) == count_ratio_family(13, 14, 26)
     with pytest.raises(SizeLimitError):
-        count_ratio_family(13, 14, 26)
+        count_ratio_family(13, 14, 48)
     parts = _ratio_parts(13, 14, 40)
     assert ratio_recurrence(13, 14, 40) == sum(binom(40 - lo, r) for _, r, lo in parts)
     assert ratio_recurrence(13, 14, 40) == 119_724_514

@@ -233,6 +233,9 @@ def test_split_tally_joins_to_the_mask_scan_at_every_split():
             tallies[key] = enumeration._half_tally(S, lo, width, "test")
         return tallies[key]
 
+    def a_rule(least, weight):  # family A's: empty, or least > weight
+        return least == 0 or least > weight
+
     for z in range(1 << 8):
         S = enumeration._set_of(z).elements
         by_max = Counter(
@@ -241,9 +244,38 @@ def test_split_tally_joins_to_the_mask_scan_at_every_split():
         want = list(accumulate(by_max[n] for n in range(15)))  # by_max[0] == 0
         for n in range(1, 15):
             for h in range(n + 1):
-                joined = enumeration._join_halves(tally(S, 0, h), tally(S, h, n - h))
+                joined = enumeration._join_halves(tally(S, 0, h), tally(S, h, n - h), a_rule)
                 assert joined == want[n] + 1, (S, n, h)
-        assert enumeration._split_count(S, 14, "test") == want[14] + 1, S
+        assert enumeration._split_count(S, 14, a_rule, "test") == want[14] + 1, S
+
+
+def test_ratio_split_joins_to_the_level_scan_at_every_split(monkeypatch):
+    # mpq's members at level n are the subsets of {1..n-1} plus n: the rule
+    # count_ratio_family passes to the join, at every split point h of
+    # {1..n-1}, counts what a scan of the level keeps, for p, q <= 4.
+    tallies = {}
+    rules = []
+    join = enumeration._join_halves
+
+    def recording(low, high, admits):
+        rules.append(admits)
+        return join(low, high, admits)
+
+    def tally(lo, width):
+        if (lo, width) not in tallies:
+            tallies[lo, width] = enumeration._half_tally((), lo, width, "test")
+        return tallies[lo, width]
+
+    monkeypatch.setattr(enumeration, "_join_halves", recording)
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for n in range(1, 15):
+                want = len(enumeration._ratio_member_masks(p, q, n, "test"))
+                assert count_ratio_family(p, q, n) == want, (p, q, n)
+                admits = rules.pop()
+                for h in range(n):
+                    joined = join(tally(0, h), tally(h, n - 1 - h), admits)
+                    assert joined == want, (p, q, n, h)
 
 
 def test_half_tally_counts_subsets_by_min_and_weight():
@@ -344,8 +376,14 @@ def test_size_caps(monkeypatch):
     for n in (38, 10**12):
         with pytest.raises(SizeLimitError):
             stream_family_k(n)
-    with pytest.raises(SizeLimitError):
-        count_ratio_family(1, 1, 26)
+    # count_ratio_family splits {1..n-1}: n = 47 fills the cap exactly.
+    with pytest.raises(Scanned):
+        count_ratio_family(1, 1, 47)
+    for n in (48, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="count_ratio_family: split scan of 2\\^"):
+            count_ratio_family(1, 1, n)
+        assert time.perf_counter() - start < 1
     with pytest.raises(SizeLimitError):
         enumerate_ratio_family(1, 1, 26)
     for n in (37, 10**12):

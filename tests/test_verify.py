@@ -220,13 +220,19 @@ def test_family_a_partitions_read_one_scan(monkeypatch, suite, kind):
     assert all(seen == 0 and n <= 11 for seen, n in halves)
 
 
-def test_mpq_scans_each_level_once(monkeypatch):
-    # The nine families' oracle counts read one tally per level, and
-    # ratio_recurrence seeds its first p + q - 1 terms from part sums,
-    # scanning nothing.
+def test_mpq_splits_each_oracle_count(monkeypatch):
+    # Each of the nine families' oracle counts at level n scans the two
+    # halves of {1..n-1}, and ratio_recurrence seeds its first p + q - 1
+    # terms from part sums, scanning nothing.
     scans = _record_scans(monkeypatch)
     assert all(r.passed for r in run_suite("mpq"))
-    assert scans == [(n - 1, n, "ratio_tally") for n in range(1, 19)]
+    assert scans == [
+        (0, width, "count_ratio_family")
+        for p in (1, 2, 3)
+        for q in (1, 2, 3)
+        for n in range(1, 19)
+        for width in ((n - 1) // 2, n - 1 - (n - 1) // 2)
+    ]
     scans.clear()
     assert closed_forms.ratio_recurrence(13, 14, 40) == 119_724_514
     assert scans == []
