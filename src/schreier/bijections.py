@@ -45,9 +45,9 @@ from typing import Callable, Iterator, Optional
 from .enumeration import (
     _a_candidate_masks,
     _a_member_masks,
+    _elements_of,
     _k_member_masks,
     _set_of,
-    enum_order_key,
     require_scan_within_cap,
     scan_once,
 )
@@ -186,7 +186,7 @@ def two_level_step(F: FiniteSet, n: int) -> FiniteSet:
 
 def _enum_key(m: int) -> tuple[int, tuple[int, ...]]:
     """EnumOrder on masks: the order of the sets they stand for."""
-    return enum_order_key(_set_of(m))
+    return (m.bit_count(), _elements_of(m))
 
 
 def _violations(

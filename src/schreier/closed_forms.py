@@ -18,8 +18,11 @@ never reads another, so the grid stays independent of ``recurrence_table``.
 Specializations checked against each other and against the brute-force
 oracles by the verification suites: the diagonal a(n, n) = 2 F(n), also
 expressible as the literal double sum 2 + 2 sum_{k=1..n-1} sum_{j=0..k-2}
-C(n-k-1, j); the band a(k, k + l) = 2 F(k + l) for k >= l + 2; and the
-column recurrence a(k, n) = a(k, n-1) + a(k-1, n-2) for n > max(k, 2).
+C(n-k-1, j), which ``diagonal_double_sum`` evaluates in one pass by the
+binomial theorem (a whole Pascal row sums to 2^m), Pascal's rule and the
+ratios of neighbouring binomials, none of them a Fibonacci identity; the
+band a(k, k + l) = 2 F(k + l) for k >= l + 2; and the column recurrence
+a(k, n) = a(k, n-1) + a(k-1, n-2) for n > max(k, 2).
 
 The pinned family at level n + 1 has F(n) members, split by membership of
 2 and 3 into four cases counted exactly by ``family_k_case_counts``.
@@ -36,23 +39,20 @@ maximum 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import add, getitem, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .core import binom, fib
 from .enumeration import _ratio_parts, require_bits_within_cap
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class CaseCounts:
-    """Sizes of the four membership cases (elements 2 and 3) of the pinned
-    family at level n + 1."""
+class CaseCounts(NamedTuple):
+    """Sizes of the four membership cases (elements 2 and 3) of one pinned
+    family level."""
 
-    n: int
     with_both: int
     with_two_only: int
     with_three_only: int
@@ -60,12 +60,7 @@ class CaseCounts:
 
     @property
     def total(self) -> int:
-        return (
-            self.with_both
-            + self.with_two_only
-            + self.with_three_only
-            + self.with_neither
-        )
+        return sum(self)
 
 
 def _closed_cell(
@@ -148,39 +143,41 @@ def diagonal_count(n: int) -> int:
     return 2 * fib(n)
 
 
-# Cache of Pascal-row prefix sums: _PREFIX[m][t] == sum_{j=0..t} C(m, j).
-# Each row is built by accumulating binomials term by term (Pascal's
-# multiply/divide rule), so the double-sum route below stays a pure sum of
-# binomial coefficients with no Fibonacci identity anywhere in it.
-_PREFIX: list[list[int]] = [[1]]
-
-
-def _prefix_binom_sum(m: int, t: int) -> int:
-    """Return sum_{j=0..t} C(m, j) for m >= 0 (0 when t < 0)."""
-    if t < 0:
-        return 0
-    while len(_PREFIX) <= m:
-        mm = len(_PREFIX)
-        acc, c, row = 0, 1, []
-        for j in range(mm + 1):
-            acc += c
-            row.append(acc)
-            c = c * (mm - j) // (j + 1)
-        _PREFIX.append(row)
-    row = _PREFIX[m]
-    return row[min(t, m)]
-
-
 def diagonal_double_sum(n: int) -> int:
     """Diagonal count via the explicit double sum of binomials.
 
-    Evaluates 2 + 2 sum_{k=1..n-1} sum_{j=0..k-2} C(n-k-1, j); the inner sums
-    come from the cached prefix table above and involve no Fibonacci numbers,
-    keeping this an independent cross-check of ``diagonal_count``.
+    Evaluates 2 + 2 sum_{k=1..n-1} sum_{j=0..k-2} C(n-k-1, j), that is
+    2 + 2 sum_{m=0..n-3} P(m, n-3-m) with P(m, t) = sum_{j=0..t} C(m, j), in
+    one pass along that anti-diagonal of prefix sums:
+
+    * a whole row (t >= m) sums to 2^m, by the binomial theorem;
+    * the first cut row has t = m - 1 or t = m - 2, so it lacks C(m, m) = 1,
+      or that and C(m, m - 1) = m, of its 2^m;
+    * each next prefix sum is P(m+1, t-1) = 2 P(m, t) - 2 C(m, t) - C(m, t-1),
+      by Pascal's rule C(m+1, j) = C(m, j) + C(m, j-1);
+    * the binomials C(m, t) and C(m, t-1) move along with it by their exact
+      ratios C(m+1, j) = C(m, j) (m+1) / (m+1-j) and
+      C(m, j-1) = C(m, j) j / (m-j+1).
+
+    None of these is a Fibonacci identity, so the sum stays an independent
+    cross-check of ``diagonal_count``, and nothing is kept between calls.
     """
     if n < 1:
         raise DomainError(f"diagonal_double_sum: n must be >= 1, got {n}")
-    return 2 + 2 * sum(_prefix_binom_sum(n - k - 1, k - 2) for k in range(1, n))
+    whole = (n - 1) // 2  # rows m < whole have t = n - 3 - m >= m
+    total = (1 << whole) - 1
+    m, t = whole, n - 3 - whole
+    if t >= 0:
+        prefix = (1 << m) - 1 - (m if t == m - 2 else 0)
+        c = math.comb(m, t)
+        c_low = c * t // (m - t + 1)
+        while t >= 0:
+            total += prefix
+            prefix = 2 * prefix - 2 * c - c_low
+            c = c_low * (m + 1) // (m - t + 2)
+            c_low = c * (t - 1) // (m - t + 3)
+            m, t = m + 1, t - 1
+    return 2 + 2 * total
 
 
 def band_count(k: int, l: int) -> int:
@@ -233,7 +230,6 @@ def family_k_case_counts(n: int) -> CaseCounts:
     if n < 3:
         raise DomainError(f"family_k_case_counts: n must be >= 3, got {n}")
     return CaseCounts(
-        n=n,
         with_both=1,
         with_two_only=0,
         with_three_only=n - 3,

@@ -1,9 +1,11 @@
 """Closed forms and recurrences against the brute-force oracles."""
 
-import pytest
-
+import math
 import time
 
+import pytest
+
+from schreier import closed_forms
 from schreier.closed_forms import (
     band_count,
     closed_count,
@@ -61,8 +63,27 @@ def test_diagonal_double_sum_matches_diagonal():
     assert diagonal_double_sum(1) == 2
     assert diagonal_double_sum(5) == 10
     assert diagonal_double_sum(16) == 1974
-    for n in range(1, 90):
-        assert diagonal_double_sum(n) == diagonal_count(n)
+    for n in range(1, 601):
+        assert diagonal_double_sum(n) == diagonal_count(n), n
+
+
+def test_diagonal_double_sum_is_the_literal_double_sum():
+    # 2 + 2 sum_{k=1..n-1} sum_{j=0..k-2} C(n-k-1, j), term by term.
+    for n in range(1, 151):
+        literal = 2 + 2 * sum(
+            math.comb(n - k - 1, j) for k in range(1, n) for j in range(0, k - 1)
+        )
+        assert diagonal_double_sum(n) == literal, n
+
+
+def test_closed_forms_keeps_no_module_level_table():
+    diagonal_double_sum(600)
+    kept = [
+        name
+        for name, value in vars(closed_forms).items()
+        if not name.startswith("__") and isinstance(value, (list, dict, set))
+    ]
+    assert kept == []
 
 
 def test_band_count_values_and_domain():
@@ -146,18 +167,11 @@ def test_family_k_count_values():
 
 
 def test_family_k_case_counts_values():
-    c3 = family_k_case_counts(3)
-    assert (c3.with_both, c3.with_two_only, c3.with_three_only, c3.with_neither) == (
-        1, 0, 0, 1,
-    )
-    c4 = family_k_case_counts(4)
-    assert (c4.with_both, c4.with_two_only, c4.with_three_only, c4.with_neither) == (
-        1, 0, 1, 1,
-    )
-    c10 = family_k_case_counts(10)
-    assert (c10.with_both, c10.with_two_only, c10.with_three_only, c10.with_neither) == (
-        1, 0, 7, 47,
-    )
+    assert family_k_case_counts(3) == (1, 0, 0, 1)
+    assert family_k_case_counts(4) == (1, 0, 1, 1)
+    assert family_k_case_counts(10)._asdict() == {
+        "with_both": 1, "with_two_only": 0, "with_three_only": 7, "with_neither": 47,
+    }
     for n in range(3, 30):
         assert family_k_case_counts(n).total == fib(n)
     with pytest.raises(DomainError):
@@ -178,12 +192,7 @@ def test_family_k_case_counts_match_enumeration():
                 three_only += 1
             else:
                 neither += 1
-        assert (both, two_only, three_only, neither) == (
-            want.with_both,
-            want.with_two_only,
-            want.with_three_only,
-            want.with_neither,
-        )
+        assert (both, two_only, three_only, neither) == want
 
 
 def test_ratio_recurrence_matches_oracle():
