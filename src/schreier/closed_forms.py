@@ -9,11 +9,14 @@ set included).  Writing l = n - k, the closed form splits into three cases:
                             + sum_{j=1..l} C(j, l - j + k)
 * k >= 2, -k < l < 0:   a = F(k + l + 1)   (that is, F(n + 1))
 
-``closed_count`` evaluates one cell, with math.comb for the binomials;
-``closed_table`` evaluates a whole (k, n) grid, with the binomials read from
-one Pascal triangle built by addition.  Both feed the same private cell
-function, the one definition of the three cases and sums, and a table cell
-never reads another, so the grid stays independent of ``recurrence_table``.
+``closed_count`` evaluates one cell, stepping each sum's binomials from one
+math.comb seed by their exact ratios.  ``closed_table`` evaluates a whole
+(k, n) grid in one walk along l = n - k, with every cell's three sums read
+at once from Pascal rows packed into big ints and stepped by addition.  The
+walk shares the packed rows and each column's tail prefix between cells,
+but no cell reads another cell's value, and neither route uses the column
+recurrence or a Fibonacci identity, so the grid stays independent of
+``recurrence_table``.
 
 Specializations checked against each other and against the brute-force
 oracles by the verification suites: the diagonal a(n, n) = 2 F(n), also
@@ -39,10 +42,7 @@ maximum 0).
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import repeat
-from operator import add, getitem, mul
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .core import binom, fib
 from .enumeration import _ratio_parts, require_bits_within_cap
@@ -63,77 +63,98 @@ class CaseCounts(NamedTuple):
         return sum(self)
 
 
-def _closed_cell(
-    k: int, n: int, binoms: Callable[[Iterable[int], Iterable[int]], Iterable[int]],
-    fibs: Callable[[int], int],
-) -> int:
-    """a(k, n) by the closed form, for k, n >= 1: the one definition of its
-    three cases and three sums, read term by term from ``binoms(ms, cs)``,
-    which yields C(m, c) for each pair of its two iterables, and from
-    ``fibs(i)`` == F(i)."""
-    l = n - k
-    if l < 0:
-        return fibs(n + 1)
-    if k == 1:
-        return fibs(l + 2) + 1
-    # Each sum runs over its nonzero terms only: C(l, i) = 0 for i > l, and
-    # C(j, l - j + k) = 0 for j < (l + k) / 2.
-    top = min(k - 1, l + 1)
-    total = 2 * sum(map(mul, binoms(repeat(l, top), range(top)), map(fibs, range(k, k - top, -1))))
-    if k - 1 <= l:
-        total += 2 * sum(binoms((l,), (k - 1,)))
-    lo = (l + k + 1) // 2
-    return total + sum(binoms(range(lo, l + 1), range(l + k - lo, k - 1, -1)))
-
-
-_comb_terms = partial(map, math.comb)  # C(m, c) == 0 for c > m
-
-
 def _grid_bits(k_max: int, n_max: int) -> int:
     """Bits of a k_max x n_max count grid, bounded by a(k, n) <= 2^n."""
     return k_max * n_max * (n_max + 1) // 2
 
 
 def closed_count(k: int, n: int) -> int:
-    """Exact size of the bounded weight-k family over {1..n}."""
+    """Exact size of the bounded weight-k family over {1..n}, by the closed
+    form's three cases.
+
+    Each sum steps its binomials from one ``math.comb`` seed by their exact
+    ratios, C(l, i+1) = C(l, i) (l-i) / (i+1) along the convolution and
+    C(j+1, n-j-1) = C(j, n-j) (j+1)(n-j) / ((2j-n+1)(2j-n+2)) along the tail,
+    so a term costs one product and one exact division, not one binomial.
+    """
     if k < 1:
         raise DomainError(f"closed_count: k must be >= 1, got {k}")
     if n < 1:
         raise DomainError(f"closed_count: n must be >= 1, got {n}")
-    return _closed_cell(k, n, _comb_terms, fib)
+    l = n - k
+    if l < 0:
+        return fib(n + 1)
+    if k == 1:
+        return fib(l + 2) + 1
+    # The top binomial C(l, k-1) is the convolution's term i = k - 1, as
+    # F(1) = 1.  Each sum runs over its nonzero terms only: C(l, i) = 0 for
+    # i > l, and C(j, n - j) = 0 for j < n / 2.
+    convolution, c = 0, 1  # c = C(l, i)
+    for i in range(min(k - 1, l) + 1):
+        convolution += c * fib(k - i)
+        c = c * (l - i) // (i + 1)
+    j = (n + 1) // 2
+    tail = c = math.comb(j, n - j) if j <= l else 0
+    for j in range(j, l):
+        c = c * (j + 1) * (n - j) // ((2 * j - n + 1) * (2 * j - n + 2))
+        tail += c
+    return 2 * convolution + tail
 
 
 def closed_table(k_max: int, n_max: int) -> list[list[int]]:
     """The (k, n) count grid for 1 <= k <= k_max, 1 <= n <= n_max by the
     closed form, laid out as ``recurrence_table``'s: grid[k-1][n-1] == a(k, n).
 
-    Every cell evaluates the same cases and sums as ``closed_count``, with
-    its binomials read from one Pascal triangle built by addition (rows
-    0..n_max-2: a cell with k >= 2 reaches l <= n_max - 2) and its Fibonacci
-    numbers from one prefix F(0..n_max+1); no cell reads another cell.
+    The k = 1 row is F(n + 1) + 1 and the cells with n < k are F(n + 1), from
+    one prefix F(0..n_max+1).  The rest are read along l = n - k =
+    0..n_max-2 from three big ints that pack one value per slot of B bits,
+    slot k standing for x^k at x = 2^B:
+
+    * P = (1 + x)^l, the Pascal row, stepped by Pascal's rule as P + (P << B);
+    * R = (1 + x)^l F(x), seeded once with F(0..min(k_max, n_max)), stepped the
+      same way, whose slot k is the convolution plus the top binomial (F(1) = 1);
+    * U, whose slot k is the tail sum_{j<=l} C(j, l + k - j), stepped as
+      (U >> B) + P: column k's tail at l + 1 is column k + 1's at l plus the
+      one binomial C(l + 1, k).
+
+    Slots 2..k_max of 2R + U are the cells a(k, l + k), read in one
+    ``to_bytes``.  The cells share the packed rows and each column's tail
+    prefix; none reads another cell's value, and neither the column
+    recurrence nor a Fibonacci identity enters, so the grid stays
+    independent of ``recurrence_table``.  Every slot value is below 2^n_max
+    and B > n_max, so no slot carries into the next.
     """
     if k_max < 1 or n_max < 1:
         raise DomainError(
             f"closed_table: bounds must be >= 1, got k_max={k_max}, n_max={n_max}"
         )
     rows = n_max - 1 if k_max > 1 else 0
-    # The triangle's row m holds m + 1 values below 2^m.
+    # The walk's P and U move about n_max^3 / 2 bits over rows l = 0..n_max-2,
+    # and R about as many as the grid holds: the cubic term bounds the first
+    # up to a constant factor, the grid term the second.
     require_bits_within_cap(
         _grid_bits(k_max, n_max) + (rows - 1) * rows * (rows + 1) // 3,
         f"closed_table: {k_max} x {n_max} grid",
     )
-    triangle = [[1]]
-    for _ in range(rows - 1):
-        triangle.append([1, *map(add, triangle[-1], triangle[-1][1:]), 1])
-
-    def binoms(ms, cs):
-        return map(getitem, map(triangle.__getitem__, ms), cs)
-
-    fibs = list(map(fib, range(n_max + 2))).__getitem__
-    return [
-        [_closed_cell(k, n, binoms, fibs) for n in range(1, n_max + 1)]
-        for k in range(1, k_max + 1)
-    ]
+    fibs = list(map(fib, range(n_max + 2)))
+    grid = [[f + 1 for f in fibs[2:]]] + [fibs[2:k + 1] for k in range(2, k_max + 1)]
+    nb = (n_max + 8) // 8  # bytes per slot: B = 8 nb > n_max bits
+    B = 8 * nb
+    seed = fibs[:min(k_max, n_max) + 1]
+    R = int.from_bytes(b"".join(f.to_bytes(nb, "little") for f in seed), "little")
+    P = U = 1
+    for l in range(rows):
+        top = min(k_max, n_max - l)  # row l reaches the cells a(k, l + k), k <= top
+        width = (top + 1) * nb
+        low = (1 << 8 * width) - 1
+        R &= low
+        packed = (2 * R + (U & low)).to_bytes(width, "little")
+        for row, at in zip(grid[1:top], range(2 * nb, width, nb)):
+            row.append(int.from_bytes(packed[at:at + nb], "little"))
+        R += R << B
+        P = (P + (P << B)) & ((1 << (n_max - l) * B) - 1)
+        U = (U >> B) + P
+    return grid
 
 
 def diagonal_count(n: int) -> int:

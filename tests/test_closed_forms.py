@@ -130,6 +130,31 @@ def test_closed_table_equals_closed_count_cell_by_cell(k_max, n_max):
             assert value == closed_count(k, n), (k, n)
 
 
+def test_closed_table_equals_closed_count_on_every_small_shape():
+    cells = [[closed_count(k, n) for n in range(1, 41)] for k in range(1, 41)]
+    for k_max in range(1, 41):
+        for n_max in range(1, 41):
+            want = [row[:n_max] for row in cells[:k_max]]
+            assert closed_table(k_max, n_max) == want, (k_max, n_max)
+
+
+def test_closed_table_equals_recurrence_table_at_260():
+    assert closed_table(260, 260) == recurrence_table(260, 260)
+
+
+def test_closed_table_thin_shape_near_the_cap():
+    # 2 x 900 is close to the cap; its packed rows are as long as the walk's.
+    grid = closed_table(2, 900)
+    assert [row[-1] for row in grid] == [closed_count(1, 900), closed_count(2, 900)]
+
+
+def test_closed_count_far_cell_meets_the_column_recurrence():
+    # The ratio steps never use a(k, n) = a(k, n-1) + a(k-1, n-2).
+    start = time.perf_counter()
+    assert closed_count(5, 40_000) == closed_count(5, 39_999) + closed_count(4, 39_998)
+    assert time.perf_counter() - start < 10
+
+
 def test_closed_table_matches_recurrence_and_oracle_grid():
     grid = closed_table(12, 20)
     assert grid == recurrence_table(12, 20)
@@ -143,8 +168,8 @@ def test_closed_table_domain():
 
 
 def test_count_grids_are_refused_by_size_before_any_cell():
-    # Each cell at column n is below 2^n, and closed_table also holds the
-    # Pascal triangle's rows 0..n_max-2, so both are bounded up front.
+    # Each cell at column n is below 2^n, and closed_table's walk also moves
+    # packed Pascal rows 0..n_max-2, so both are bounded up front.
     for build, k_max, n_max in (
         (recurrence_table, 100_000, 100_000),
         (closed_table, 2, 1_000_000),
@@ -154,7 +179,7 @@ def test_count_grids_are_refused_by_size_before_any_cell():
         with pytest.raises(SizeLimitError):
             build(k_max, n_max)
         assert time.perf_counter() - start < 1, (build, k_max, n_max)
-    # A single row needs no triangle: it is bounded like the recurrence grid.
+    # A single row needs no walk: it is bounded like the recurrence grid.
     assert closed_table(1, 2_000)[0][-1] == fib(2_001) + 1
 
 
