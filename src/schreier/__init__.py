@@ -36,7 +36,6 @@ from .enumeration import (
     count_family_a,
     count_family_a_grid,
     count_ratio_family,
-    enum_order_key,
     enumerate_family_a,
     enumerate_family_k,
     enumerate_ratio_family,
@@ -87,7 +86,6 @@ __all__ = [
     "diag_swap",
     "diagonal_count",
     "diagonal_double_sum",
-    "enum_order_key",
     "enumerate_family_a",
     "enumerate_family_k",
     "enumerate_ratio_family",

@@ -22,18 +22,18 @@ element i, as in ``enumeration``): ``diag_shift`` is ``(m << 1) | 1 << n``,
 check their domain, then apply the mask map.
 
 ``verify_partition`` never trusts those descriptions.  It re-derives each
-domain and codomain of a level from brute-force scans, never the structured
-routes: family A's candidates over the level's largest universe, of which
-those of {1..n} are the prefix below 2**n, or the pinned levels.  It
-applies the mask maps and tests four independent flags (well-definedness,
-injectivity, disjointness of the two images, exact cover of the codomain)
-as set operations.  All four flags true is precisely the claimed partition.
-Only when one fails are the domains and the codomain sorted into
-enumeration order, to name the first violation of the first failing flag.
-A check reads its three levels inside ``enumeration.scan_once``, so each
-scan is made once; inside a caller's block, the checks of a whole range of
-levels share one scan of the largest universe they read (each pinned level
-once for thm1_4).
+domain and codomain of a level from the naive routes, never the structured
+ones: ``_a_member_masks``, whose one candidate scan of the level's largest
+universe serves every smaller universe as its prefix below 2**n, or
+``_k_member_masks`` for the pinned levels.  It applies the mask maps and
+tests four independent flags (well-definedness, injectivity, disjointness
+of the two images, exact cover of the codomain) as set operations.  All
+four flags true is precisely the claimed partition.  Only when one fails
+are the domains and the codomain sorted into enumeration order, to name the
+first violation of the first failing flag.  A check reads its three levels
+inside ``enumeration.scan_once``, so each scan is made once; inside a
+caller's block, the checks of a whole range of levels share one scan of the
+largest universe they read (each pinned level once for thm1_4).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .enumeration import (
-    _a_candidate_masks,
     _a_member_masks,
     _elements_of,
     _k_member_masks,
@@ -252,11 +251,6 @@ def _check_masks(
     return BijectionReport(map_name, n, k, *flags, violation)
 
 
-def _family_a(k: int, n: int, what: str) -> list[int]:
-    """The members of A(k, n) as ascending masks, from the naive scan."""
-    return _a_member_masks(k, n, _a_candidate_masks(n, what))
-
-
 def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionReport:
     """Check one of the three partition constructions at level n.
 
@@ -296,20 +290,20 @@ def verify_partition(kind: str, n: int, k: Optional[int] = None) -> BijectionRep
                 "diag_shift+diag_swap",
                 n,
                 None,
-                (_family_a(n - 1, n - 1, what), lambda m: _diag_shift_mask(m, n)),
-                (_family_a(n, n, what), lambda m: _diag_swap_mask(m, n)),
-                _family_a(n + 1, n + 1, what),
+                (_a_member_masks(n - 1, n - 1, what), lambda m: _diag_shift_mask(m, n)),
+                (_a_member_masks(n, n, what), lambda m: _diag_swap_mask(m, n)),
+                _a_member_masks(n + 1, n + 1, what),
             )
         if kind == "rec3_1":
             # A(k, n - 1) is the part of A(k, n) below 2**(n-1): bit n-1 is
             # clear there, so the member test is the same.
-            codomain = _family_a(k, n, what)
+            codomain = _a_member_masks(k, n, what)
             return _check_masks(
                 "embed+column_shift",
                 n,
                 k,
                 (codomain[: bisect_left(codomain, 1 << (n - 1))], lambda m: m),
-                (_family_a(k - 1, n - 2, what), lambda m: _column_shift_mask(m, n)),
+                (_a_member_masks(k - 1, n - 2, what), lambda m: _column_shift_mask(m, n)),
                 codomain,
             )
         return _check_masks(

@@ -12,29 +12,31 @@ an element of S: k = 10**12 costs what k = n + 1 does.
 
 The oracle is a naive mask scan: it visits every subset of the universe by
 bitmask and tests the defining inequality directly, so it is the independent
-ground truth for the closed forms and for the structured route.  Family A's
-scan keeps the candidates, the sets with min >= size, which hold every
-member for every k; the one member predicate then runs over them, so
-``enumerate_family_a`` and the whole (k, n) grid of ``count_family_a_grid``
-read one scan of {1..n}.  ``count_family_a`` and ``count_ratio_family``
-count by the split tally ``_split_count``, the meet-in-the-middle split of
-Horowitz and Sahni (JACM 1974): each subset of {1..n} is one pair of its
-parts in {1..h} and {h+1..n}, h = n // 2, and membership in either family
-depends only on a set's min and its weight, so one mask scan of each
-half, tallied by (min, weight), counts every pair with no binomial or
-Fibonacci identity, at a cost of 2**h + 2**(n-h) masks.  The family's rule
-is one argument, ``admits(least, weight)``: A's is "empty, or least >
-weight" with S = {k}; mpq's members are the subsets F of {1..n-1} plus n,
-so it splits {1..n-1} with S empty and tests min F (n for F empty) and
-|F| + 1.  ``enumerate_family_k`` and ``enumerate_ratio_family`` scan one
+ground truth for the closed forms and for the structured route.  Each
+family has one naive route, which takes checked arguments and returns the
+members as ascending masks: ``_a_member_masks``, ``_k_member_masks`` and
+``_ratio_member_masks``.  Family A's keeps the candidates, the nonempty sets
+with min >= size, which hold every member for every k, and tests the rule
+on them, so ``enumerate_family_a``, the partition checks and each row of
+``count_family_a_grid`` read one scan of {1..n}; K's and mpq's scan one
 pinned level.  Every scan takes its masks from ``_scan``.
+``count_family_a`` and ``count_ratio_family`` count by the split tally
+``_split_count``, the meet-in-the-middle split of Horowitz and Sahni (JACM
+1974): each subset of {1..n} is one pair of its parts in {1..h} and
+{h+1..n}, h = n // 2, and membership in either family depends only on a
+set's min and its weight, so one mask scan of each half, tallied by (min,
+weight), counts every pair with no binomial or Fibonacci identity, at a
+cost of 2**h + 2**(n-h) masks.  The family's rule is one argument,
+``admits(least, weight)``: A's is "empty, or least > weight" with S = {k};
+mpq's members are the subsets F of {1..n-1} plus n, so it splits {1..n-1}
+with S empty and tests min F (n for F empty) and |F| + 1.
 
 Inside a ``with scan_once():`` block each naive scan is made once: family
 A's candidates grow to the largest universe read so far, scanning only the
-masks from 2**seen up to 2**n, and a smaller universe reads their prefix
-below 2**n; each pinned K level is kept.  The split tally's half scans are
-small and never kept.  The size cap is checked when a scan runs, so a block
-changes no refusal.
+masks from 2**seen up to 2**n, and serve every k and every smaller universe
+(the grid's rows, in a block of its own); each pinned K level is kept.  The
+split tally's small half scans are never kept.  The size cap is checked when
+a scan runs, so a block changes no refusal.
 
 The structured route counts the members part by part without building
 them, checks the count against the size cap, and returns it with an iterator
@@ -139,11 +141,6 @@ def require_scan_within_cap(n: int, what: str) -> None:
     require_within_cap(_subsets_by_max(n), f"{what}: scan of 2^{n} subsets")
 
 
-def enum_order_key(E: FiniteSet) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing EnumOrder: cardinality first, then lexicographic."""
-    return (len(E.elements), E.elements)
-
-
 def _elements_of(m: int) -> tuple[int, ...]:
     """The elements of the set a mask stands for, ascending: bit i-1 set for
     each element i."""
@@ -209,23 +206,6 @@ def _scan(seen: int, n: int, what: str) -> range:
 # -- family A: weight-k admissible sets with max <= n -----------------------
 
 
-def _a_candidate_masks(n: int, what: str) -> list[int]:
-    """Keep the nonempty subsets of {1..n} with min >= size, ascending.
-
-    A member of any weight-k family has min > |E| - [k in E] >= |E| - 1, so
-    these F(n+2) - 1 sets hold every nonempty member, whatever k is.
-    """
-    seen, candidates = (_kept or {}).get("A", (0, []))
-    if n > seen:
-        require_scan_within_cap(n, what)
-        candidates = candidates + [
-            m for m in _scan(seen, n, what) if (m & -m).bit_length() >= m.bit_count()
-        ]
-        if _kept is not None:
-            _kept["A"] = n, candidates
-    return candidates[: bisect_left(candidates, 1 << n)]
-
-
 def _zero_weight_masks(S: tuple[int, ...], n: int, masks: Iterable[int]) -> list[int]:
     """Keep, in order, the masks of subsets of {1..n} whose min exceeds
     their weight: the number of their elements outside the zero-weight set
@@ -235,11 +215,22 @@ def _zero_weight_masks(S: tuple[int, ...], n: int, masks: Iterable[int]) -> list
     return [m for m in masks if (m & -m).bit_length() > (m & weighted).bit_count()]
 
 
-def _a_member_masks(k: int, n: int, candidates: list[int]) -> list[int]:
-    """Keep the members of the weight-k family among the candidates, subsets
-    of {1..n}, by the raw definition with S = {k}: the empty set, and each
-    set whose min exceeds its weight."""
-    return [0] + _zero_weight_masks((k,), n, candidates)
+def _a_member_masks(k: int, n: int, what: str) -> list[int]:
+    """Return the members of the weight-k family over {1..n} as ascending
+    masks, the empty set first, by the raw definition with S = {k}.
+
+    The rule runs over the candidates, the nonempty subsets with min >= size:
+    a member has min > |E| - [k in E] >= |E| - 1, so these F(n+2) - 1 sets
+    hold every nonempty member, whatever k is."""
+    seen, candidates = (_kept or {}).get("A", (0, []))
+    if n > seen:
+        require_scan_within_cap(n, what)
+        candidates = candidates + [
+            m for m in _scan(seen, n, what) if (m & -m).bit_length() >= m.bit_count()
+        ]
+        if _kept is not None:
+            _kept["A"] = n, candidates
+    return [0] + _zero_weight_masks((k,), n, candidates[: bisect_left(candidates, 1 << n)])
 
 
 def _counts_by_min(S: tuple[int, ...], n: int) -> Iterator[int]:
@@ -357,10 +348,11 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     """Count the bounded weight-k family for every k <= k_max and n <= n_max
     from one scan of {1..n_max}: ``grid[k-1][n-1] == a(k, n)``.
 
-    Each row tests the one predicate on the shared candidates, buckets the
-    members by their maximum and sums the buckets up to each n.  Before the
-    scan, its 2**n_max subsets and then the k_max * (F(n_max+2) - 1) tests,
-    one per row and candidate, are checked against the size cap.
+    Inside one ``scan_once`` block, each row k is the ascending member
+    masks of A(k, n_max), and a(k, n) is the number of them below 2**n,
+    found by bisection.  Before the scan, its 2**n_max subsets and then the
+    k_max * (F(n_max+2) - 1) tests, one per row and candidate, are checked
+    against the size cap.
     """
     if k_max < 1 or n_max < 1:
         raise DomainError(
@@ -372,14 +364,9 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
     require_within_cap(
         (k_max * kept,), f"count_family_a_grid: {k_max} x {kept} predicate tests"
     )
-    candidates = _a_candidate_masks(n_max, "count_family_a_grid")
-    grid = []
-    for k in range(1, k_max + 1):
-        by_max = [0] * (n_max + 1)
-        for m in _a_member_masks(k, n_max, candidates):
-            by_max[m.bit_length()] += 1
-        grid.append(list(itertools.accumulate(by_max))[1:])
-    return grid
+    with scan_once():
+        rows = (_a_member_masks(k, n_max, "count_family_a_grid") for k in range(1, k_max + 1))
+        return [[bisect_left(row, 1 << n) for n in range(1, n_max + 1)] for row in rows]
 
 
 def _a_members(k: int, n: int) -> _Members:
@@ -407,9 +394,7 @@ def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
     """Return every member of the bounded weight-k family, in EnumOrder, by
     scanning all 2**n subsets (the oracle for ``stream_family_a``)."""
     _require_a_domain(k, n, "enumerate_family_a")
-    return _members_in_order(
-        _a_member_masks(k, n, _a_candidate_masks(n, "enumerate_family_a"))
-    )
+    return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
 
 
 # -- the pinned families K and mpq: max = n ----------------------------------
@@ -511,7 +496,6 @@ def _ratio_admits(p: int, q: int, lo: int, size: int) -> bool:
 
 def _ratio_member_masks(p: int, q: int, n: int, what: str) -> list[int]:
     """Scan the subsets of {1..n} with maximum n and keep the members."""
-    _require_ratio_domain(p, q, n, what)
     require_scan_within_cap(n - 1, what)
     return [
         m
@@ -569,4 +553,5 @@ def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
     """Return every member of the ratio family at level n, in EnumOrder, by
     scanning the 2**(n-1) subsets of {1..n} with maximum n (the oracle for
     ``stream_ratio_family``)."""
+    _require_ratio_domain(p, q, n, "enumerate_ratio_family")
     return _members_in_order(_ratio_member_masks(p, q, n, "enumerate_ratio_family"))

@@ -57,13 +57,13 @@ from .closed_forms import (
 )
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
-    _a_candidate_masks,
     _a_member_masks,
     _a_members,
     _k_members,
     _scan,
     _set_of,
     _split_parts,
+    _zero_weight_masks,
     count_family_a,
     count_family_a_grid,
     count_ratio_family,
@@ -140,7 +140,7 @@ def suite_thm1_1(n_max=None, k_max=None, seed=None) -> list[Report]:
         for n in range(1, enum_top + 1):
             got, want = count_family_a(n, n), diagonal_count(n)
             if n <= scan_top:
-                masks = _a_member_masks(n, n, _a_candidate_masks(n, "suite thm1_1"))
+                masks = _a_member_masks(n, n, "suite thm1_1")
                 got, want = (got, len(masks)), (want, want)
             yield (f"n={n}", got, want)
 
@@ -505,7 +505,7 @@ def suite_eq1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
     # first failure with E outside and k inside.
     first, failure = 1 << universe, None
     for k in range(1, k_top + 1):
-        got = set(_a_member_masks(k, universe, _scan(0, universe, "suite eq1_2")))
+        got = {0, *_zero_weight_masks((k,), universe, _scan(0, universe, "suite eq1_2"))}
         want = settled.union(m for m in maximal if m >> (k - 1) & 1)
         if got != want and (m := min(got ^ want)) < first:
             first, failure = m, _mismatch(f"k={k} E={_set_of(m)}", m in got, m in want)

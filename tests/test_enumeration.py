@@ -7,13 +7,12 @@ from itertools import accumulate
 import pytest
 
 from schreier import enumeration
-from schreier.closed_forms import closed_count, family_k_count, ratio_recurrence
+from schreier.closed_forms import closed_count, closed_table, family_k_count, ratio_recurrence
 from schreier.core import binom, fib
 from schreier.enumeration import (
     count_family_a,
     count_family_a_grid,
     count_ratio_family,
-    enum_order_key,
     enumerate_family_a,
     enumerate_family_k,
     enumerate_ratio_family,
@@ -29,6 +28,11 @@ from schreier.finite_sets import FiniteSet, in_family_a, in_family_k, weight
 
 def canon(members):
     return [str(E) for E in members]
+
+
+def enum_order(E):
+    """EnumOrder's sort key: cardinality first, then lexicographic."""
+    return (len(E), E.elements)
 
 
 def streamed(route, *args):
@@ -70,7 +74,7 @@ def test_enumeration_is_in_canonical_order():
         enumerate_family_a(5, 9),
     ):
         assert members[0] == FiniteSet()
-        assert members == sorted(members, key=enum_order_key)
+        assert members == sorted(members, key=enum_order)
         assert len(set(members)) == len(members)
 
 
@@ -167,7 +171,7 @@ def test_ratio_family_enumeration_matches_count():
                     streamed(stream_ratio_family, p, q, n),
                 ):
                     assert len(members) == count_ratio_family(p, q, n)
-                    assert members == sorted(members, key=enum_order_key)
+                    assert members == sorted(members, key=enum_order)
 
 
 def test_structured_ratio_family_matches_naive():
@@ -201,7 +205,7 @@ def test_stream_counts_match_the_recurrences():
     ):
         members = list(members)
         assert count == len(members)
-        assert members == sorted(members, key=enum_order_key)
+        assert members == sorted(members, key=enum_order)
 
 
 def test_counts_by_min_follow_the_zero_weight_rule():
@@ -318,7 +322,7 @@ def test_mask_scans_agree_with_set_predicates():
     subsets = [FiniteSet()]
     for n in range(1, 15):
         subsets += [FiniteSet(E.elements + (n,)) for E in subsets]
-        ordered = sorted(subsets, key=enum_order_key)
+        ordered = sorted(subsets, key=enum_order)
         grid = count_family_a_grid(n + 1, n)
         for k in range(1, n + 2):
             want = [E for E in ordered if in_family_a(E, k, n)]
@@ -392,23 +396,40 @@ def test_size_caps(monkeypatch):
 
 
 def test_grid_counts_its_predicate_tests_before_its_scan(monkeypatch):
-    # The pre-count is the number of candidates the scan keeps, F(n+2) - 1,
-    # so the least refused k_max is exact, and nothing is scanned before it.
-    kept = {n: len(enumeration._a_candidate_masks(n, "test")) for n in range(1, 21)}
+    # The pre-count is the number of candidates the scan keeps, the nonempty
+    # sets with min >= size, so the least refused k_max is exact, and
+    # nothing is scanned before it.  The candidates of {1..n}, counted by
+    # brute force here, are those of {1..20} with max <= n.
+    by_max = Counter(
+        m.bit_length() for m in range(1, 1 << 20) if (m & -m).bit_length() >= m.bit_count()
+    )
+    kept = dict(zip(range(1, 21), accumulate(by_max[n] for n in range(1, 21))))
+    assert kept[20] == fib(22) - 1
 
     class Scanned(Exception):
         pass
 
-    def scan(n, what):
+    def scan(seen, n, what):
         raise Scanned
 
-    monkeypatch.setattr(enumeration, "_a_candidate_masks", scan)
+    monkeypatch.setattr(enumeration, "_scan", scan)
     for n, count in kept.items():
         k_max = oracle_cap() // count
         with pytest.raises(Scanned):
             count_family_a_grid(k_max, n)
         with pytest.raises(SizeLimitError, match=f": {k_max + 1} x {count} predicate tests"):
             count_family_a_grid(k_max + 1, n)
+
+
+def test_grid_matches_the_split_tally_and_the_closed_table():
+    # Two brute-force engines, the grid's candidate scan and the split
+    # tally, cell by cell; then a grid with many rows past n against the
+    # table that `table` serves.
+    grid = count_family_a_grid(12, 18)
+    for k in range(1, 13):
+        for n in range(1, 19):
+            assert grid[k - 1][n - 1] == count_family_a(k, n), (k, n)
+    assert count_family_a_grid(40, 16) == closed_table(40, 16)
 
 
 def test_oracle_cap_is_the_one_size_bound():
@@ -447,9 +468,9 @@ def test_domain_errors():
         enumerate_family_k(1)
     with pytest.raises(DomainError):
         count_ratio_family(0, 1, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^enumerate_ratio_family: p, q must be"):
         enumerate_ratio_family(1, 0, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^enumerate_ratio_family: n must be"):
         enumerate_ratio_family(1, 1, 0)
     for stream, args in (
         (stream_family_a, (0, 5)),

@@ -187,6 +187,7 @@ def test_eq1_2_names_the_first_instance_a_broken_rule_fails(monkeypatch):
         return [m for m in masks if (m & -m).bit_length() >= (m & weighted).bit_count()]
 
     monkeypatch.setattr(enumeration, "_zero_weight_masks", broken)
+    monkeypatch.setattr(verify, "_zero_weight_masks", broken)
     [report] = run_suite("eq1_2")
     assert report.render() == (
         "FAIL weighted-family-decomposition [k=1..10, E within {1..14}] "
