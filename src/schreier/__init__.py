@@ -8,7 +8,16 @@ package computes those counts three independent ways (closed form, column
 recurrence, brute-force enumeration), exposes the structure-preserving maps
 that explain them, and ships verification suites that re-check every
 identity against the oracles.
+
+``import schreier`` loads ``core``, ``errors``, ``closed_forms`` and
+``enumeration``: all that the ``table``, ``enumerate`` and ``sequence``
+commands run.  The public names of ``finite_sets``, ``bijections``,
+``partial_sums`` and ``verify`` resolve on first access, which imports their
+module, so the verification machinery loads only for a caller that uses it,
+such as the ``verify`` command.
 """
+
+import importlib
 
 from .closed_forms import (
     CaseCounts,
@@ -21,15 +30,6 @@ from .closed_forms import (
     family_k_count,
     ratio_recurrence,
     recurrence_table,
-)
-from .bijections import (
-    BijectionReport,
-    column_shift,
-    diag_shift,
-    diag_swap,
-    shift_by_one,
-    two_level_step,
-    verify_partition,
 )
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
@@ -46,22 +46,53 @@ from .enumeration import (
     stream_ratio_family,
 )
 from .errors import DomainError, SizeLimitError
-from .finite_sets import (
-    FiniteSet,
-    SchreierClass,
-    classify,
-    in_family_a,
-    in_family_k,
-    in_weighted_family,
-    weight,
-)
-from .partial_sums import (
-    fib_partial_sum_closed,
-    iterated_partial_sum,
-    repeated_partial_sum,
-    seeded_partial_sum,
-)
-from .verify import Report, run_suite
+
+# The public names of the modules that only verification and library callers
+# use, each resolved by importing its module on first access (PEP 562).
+_LAZY = {
+    name: module
+    for module, names in {
+        "bijections": (
+            "BijectionReport",
+            "column_shift",
+            "diag_shift",
+            "diag_swap",
+            "shift_by_one",
+            "two_level_step",
+            "verify_partition",
+        ),
+        "finite_sets": (
+            "FiniteSet",
+            "SchreierClass",
+            "classify",
+            "in_family_a",
+            "in_family_k",
+            "in_weighted_family",
+            "weight",
+        ),
+        "partial_sums": (
+            "fib_partial_sum_closed",
+            "iterated_partial_sum",
+            "repeated_partial_sum",
+            "seeded_partial_sum",
+        ),
+        "verify": ("Report", "run_suite"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -91,11 +91,13 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from .core import binom, fib
 from .errors import DomainError, SizeLimitError
-from .finite_sets import FiniteSet
+
+if TYPE_CHECKING:
+    from .finite_sets import FiniteSet
 
 MAX_CANDIDATES = 1 << 24
 MAX_VALUE_BITS = 1 << 28
@@ -154,6 +156,8 @@ def _elements_of(m: int) -> tuple[int, ...]:
 
 def _set_of(m: int) -> FiniteSet:
     """The set a mask stands for."""
+    from .finite_sets import FiniteSet
+
     return FiniteSet(_elements_of(m))
 
 
@@ -161,6 +165,8 @@ def _members_in_order(masks: list[int]) -> list[FiniteSet]:
     """Return the sets of the masks in EnumOrder: the element tuples are
     sorted with C comparisons, lexicographically and then stably by size,
     and each is wrapped in a FiniteSet once."""
+    from .finite_sets import FiniteSet
+
     members = [_elements_of(m) for m in masks]
     members.sort()
     members.sort(key=len)
@@ -173,6 +179,8 @@ _Members = tuple[int, Iterator[tuple[int, ...]]]
 
 def _validated(count: int, members: Iterator[tuple[int, ...]]) -> tuple[int, Iterator[FiniteSet]]:
     """A structured route's count, with each member wrapped in a FiniteSet."""
+    from .finite_sets import FiniteSet
+
     return count, map(FiniteSet, members)
 
 

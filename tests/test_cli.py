@@ -432,6 +432,76 @@ def test_verify_rejects_range_overrides_below_one(capsys):
             assert err.startswith("schreier: run_suite: ")
 
 
+def test_suite_choices_are_the_suite_order_and_all():
+    # The parser spells its suites out; the library derives them from SUITES.
+    assert cli._SUITES == SUITE_ORDER + ("all",)
+    help_text = run_cli(["verify", "--help"]).stdout.decode()
+    assert "{" + ",".join(SUITE_ORDER + ("all",)) + "}" in help_text
+
+
+# -- what each command loads ---------------------------------------------
+
+# The modules that only verification reads.
+_VERIFY_CHAIN = {
+    "schreier.verify",
+    "schreier.bijections",
+    "schreier.partial_sums",
+    "schreier.finite_sets",
+}
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, sys
+from schreier import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sys.modules)
+"""
+
+
+def _modules_after(*args):
+    """The exit code and sys.modules of a fresh interpreter run with args."""
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, check=True
+    )
+    code, *modules = result.stdout.split()
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules of a bare interpreter, before it runs anything."""
+    return _modules_after("-c", "import sys; print(0, *sys.modules)")[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "A", "--k", "3", "--n", "9"],
+        ["enumerate", "--family", "K", "--n", "11", "--format", "csv"],
+        ["enumerate", "--family", "mpq", "--p", "1", "--q", "2", "--n", "9", "--format", "json"],
+        ["table", "--k-max", "4", "--n-max", "10", "--source", "closed"],
+        ["table", "--k-max", "4", "--n-max", "10", "--source", "recurrence"],
+        ["table", "--k-max", "4", "--n-max", "10", "--source", "oracle"],
+        ["sequence", "--name", "a-diag", "--n-max", "30"],
+        ["sequence", "--name", "k-count", "--n-max", "30"],
+        ["sequence", "--name", "fib", "--n-max", "30"],
+    ],
+)
+def test_commands_other_than_verify_load_no_verify_chain(argv, bare_modules):
+    code, modules = _modules_after("-c", _RUN_AND_LIST_MODULES, *argv)
+    assert code == 0
+    assert "schreier.enumeration" in modules
+    assert not modules & _VERIFY_CHAIN
+    assert not (modules - bare_modules) & {"dataclasses", "inspect"}
+
+
+def test_verify_loads_the_verify_chain():
+    code, modules = _modules_after(
+        "-c", _RUN_AND_LIST_MODULES, "verify", "--suite", "eq3_8", "--n-max", "10"
+    )
+    assert code == 0
+    assert _VERIFY_CHAIN <= modules
+
+
 # -- exit codes ----------------------------------------------------------
 
 
