@@ -46,7 +46,6 @@ from .enumeration import (
     _a_member_masks,
     _elements_of,
     _k_member_masks,
-    _set_of,
     require_scan_within_cap,
     scan_once,
 )
@@ -120,6 +119,11 @@ def _two_level_step_mask(m: int, n: int) -> int:
 
 def _mask_of(F: FiniteSet) -> int:
     return sum(1 << (x - 1) for x in F)
+
+
+def _set_of(m: int) -> FiniteSet:
+    """The set a mask stands for."""
+    return FiniteSet(_elements_of(m))
 
 
 # -- the maps on sets --------------------------------------------------------

@@ -41,11 +41,11 @@ from .closed_forms import (
 )
 from .core import fib
 from .enumeration import (
-    _a_members,
-    _k_members,
-    _ratio_members,
     count_family_a_grid,
     require_bits_within_cap,
+    stream_family_a,
+    stream_family_k,
+    stream_ratio_family,
 )
 from .errors import DomainError, SizeLimitError
 
@@ -221,9 +221,9 @@ def _enumerate_chunks(
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     # Each family's structured route yields element tuples, rendered as is.
     flags, stream = {
-        "A": (("k",), _a_members),
-        "K": ((), _k_members),
-        "mpq": (("p", "q"), _ratio_members),
+        "A": (("k",), stream_family_a),
+        "K": ((), stream_family_k),
+        "mpq": (("p", "q"), stream_ratio_family),
     }[args.family]
     for flag in ("k", "p", "q"):
         if (getattr(args, flag) is None) == (flag in flags):

@@ -41,13 +41,13 @@ a scan runs, so a block changes no refusal.
 The structured route counts the members part by part without building
 them, checks the count against the size cap, and returns it with an iterator
 that builds the members one by one, already in EnumOrder.  Each family has
-one private counted route, ``_a_members``, ``_k_members`` and
-``_ratio_members``, whose iterator yields plain element tuples: every member
-is built strictly increasing, so there is nothing to validate.  The public
-``stream_family_a``, ``stream_family_k`` and ``stream_ratio_family`` return
-the same count and wrap each tuple in a validated ``FiniteSet``.  The command
-line reads the tuple routes and renders the tuples as they come, so its
-memory does not grow with the output and it builds no ``FiniteSet``.
+one structured route, ``stream_family_a``, ``stream_family_k`` and
+``stream_ratio_family``, and one naive oracle, ``enumerate_family_a``,
+``enumerate_family_k`` and ``enumerate_ratio_family``.  Both give each
+member as its element tuple, built strictly increasing, so there is nothing
+to validate: a stream's iterator yields the tuples, and an oracle returns a
+list of them.  The command line renders the tuples as they come, so its
+memory does not grow with the output.
 Family A is counted by minimum element and listed size by size, passing over
 fewer other sets than it yields.  K and mpq share one pinned engine: a
 family is a list of parts ``(prefix, r, lo)``, each standing for the
@@ -75,8 +75,8 @@ half, so ``count_family_a`` passes up to n = 46 (2**23 + 2**23), and
 the next n, or 10**12, before it builds any power of two.  The structured
 routes count their members: each a(k, n) is at least F(n+1), so every
 n >= 36 is refused for A; K(n) = F(n-1), so n <= 37 passes; and
-mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are streamed, the cap bounds
-time, not memory.
+mpq(1, 1, n) = F(n), so n <= 36 passes there.  Since the members are
+streamed, the cap bounds time, not memory.
 
 The formula routes (count tables and sequences) have one cap of their own:
 a value at index n is below 2**n (a(k, n) <= 2**n, F(n) < 2**n, a binomial
@@ -91,13 +91,10 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .core import binom, fib
 from .errors import DomainError, SizeLimitError
-
-if TYPE_CHECKING:
-    from .finite_sets import FiniteSet
 
 MAX_CANDIDATES = 1 << 24
 MAX_VALUE_BITS = 1 << 28
@@ -154,34 +151,17 @@ def _elements_of(m: int) -> tuple[int, ...]:
     return tuple(elems)
 
 
-def _set_of(m: int) -> FiniteSet:
-    """The set a mask stands for."""
-    from .finite_sets import FiniteSet
-
-    return FiniteSet(_elements_of(m))
-
-
-def _members_in_order(masks: list[int]) -> list[FiniteSet]:
-    """Return the sets of the masks in EnumOrder: the element tuples are
-    sorted with C comparisons, lexicographically and then stably by size,
-    and each is wrapped in a FiniteSet once."""
-    from .finite_sets import FiniteSet
-
+def _members_in_order(masks: list[int]) -> list[tuple[int, ...]]:
+    """Return the element tuples of the masks in EnumOrder, sorted with C
+    comparisons, lexicographically and then stably by size."""
     members = [_elements_of(m) for m in masks]
     members.sort()
     members.sort(key=len)
-    return list(map(FiniteSet, members))
+    return members
 
 
 # A structured route's member count, and its members' element tuples in EnumOrder.
 _Members = tuple[int, Iterator[tuple[int, ...]]]
-
-
-def _validated(count: int, members: Iterator[tuple[int, ...]]) -> tuple[int, Iterator[FiniteSet]]:
-    """A structured route's count, with each member wrapped in a FiniteSet."""
-    from .finite_sets import FiniteSet
-
-    return count, map(FiniteSet, members)
 
 
 # -- the naive scans, each made once inside a scan_once block ---------------
@@ -377,7 +357,7 @@ def count_family_a_grid(k_max: int, n_max: int) -> list[list[int]]:
         return [[bisect_left(row, 1 << n) for n in range(1, n_max + 1)] for row in rows]
 
 
-def _a_members(k: int, n: int) -> _Members:
+def stream_family_a(k: int, n: int) -> _Members:
     """Return the number of members of the bounded weight-k family and an
     iterator that builds their element tuples one by one, in EnumOrder (the
     serving route).
@@ -392,15 +372,10 @@ def _a_members(k: int, n: int) -> _Members:
     return count, _iter_a_structured(k, n)
 
 
-def stream_family_a(k: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
-    """Return the number of members of the bounded weight-k family and an
-    iterator that builds them one by one as FiniteSets, in EnumOrder."""
-    return _validated(*_a_members(k, n))
-
-
-def enumerate_family_a(k: int, n: int) -> list[FiniteSet]:
-    """Return every member of the bounded weight-k family, in EnumOrder, by
-    scanning all 2**n subsets (the oracle for ``stream_family_a``)."""
+def enumerate_family_a(k: int, n: int) -> list[tuple[int, ...]]:
+    """Return the element tuple of every member of the bounded weight-k
+    family, in EnumOrder, by scanning all 2**n subsets (the oracle for
+    ``stream_family_a``)."""
     _require_a_domain(k, n, "enumerate_family_a")
     return _members_in_order(_a_member_masks(k, n, "enumerate_family_a"))
 
@@ -453,18 +428,12 @@ def _require_k_domain(n: int, what: str) -> None:
         raise DomainError(f"{what}: n must be >= 2, got {n}")
 
 
-def _k_members(n: int) -> _Members:
+def stream_family_k(n: int) -> _Members:
     """Return the number of members of the pinned family at level n and an
     iterator that builds their element tuples one by one, in EnumOrder (the
     serving route)."""
     _require_k_domain(n, "stream_family_k")
     return _stream_pinned(n, lambda: _k_parts(n), f"stream_family_k: members of K({n})")
-
-
-def stream_family_k(n: int) -> tuple[int, Iterator[FiniteSet]]:
-    """Return the number of members of the pinned family at level n and an
-    iterator that builds them one by one as FiniteSets, in EnumOrder."""
-    return _validated(*_k_members(n))
 
 
 def _k_member_masks(n: int, what: str) -> list[int]:
@@ -479,10 +448,10 @@ def _k_member_masks(n: int, what: str) -> list[int]:
     return kept["K", n]
 
 
-def enumerate_family_k(n: int) -> list[FiniteSet]:
-    """Return every member of the pinned family at level n, in EnumOrder, by
-    scanning the 2**(n-1) subsets of {1..n} with maximum n (the oracle for
-    ``stream_family_k``)."""
+def enumerate_family_k(n: int) -> list[tuple[int, ...]]:
+    """Return the element tuple of every member of the pinned family at
+    level n, in EnumOrder, by scanning the 2**(n-1) subsets of {1..n} with
+    maximum n (the oracle for ``stream_family_k``)."""
     _require_k_domain(n, "enumerate_family_k")
     return _members_in_order(_k_member_masks(n, "enumerate_family_k"))
 
@@ -539,7 +508,7 @@ def count_ratio_family(p: int, q: int, n: int) -> int:
     )
 
 
-def _ratio_members(p: int, q: int, n: int) -> _Members:
+def stream_ratio_family(p: int, q: int, n: int) -> _Members:
     """Return the number of members of the ratio family at level n and an
     iterator that builds their element tuples one by one, in EnumOrder (the
     serving route)."""
@@ -551,15 +520,9 @@ def _ratio_members(p: int, q: int, n: int) -> _Members:
     )
 
 
-def stream_ratio_family(p: int, q: int, n: int) -> tuple[int, Iterator[FiniteSet]]:
-    """Return the number of members of the ratio family at level n and an
-    iterator that builds them one by one as FiniteSets, in EnumOrder."""
-    return _validated(*_ratio_members(p, q, n))
-
-
-def enumerate_ratio_family(p: int, q: int, n: int) -> list[FiniteSet]:
-    """Return every member of the ratio family at level n, in EnumOrder, by
-    scanning the 2**(n-1) subsets of {1..n} with maximum n (the oracle for
-    ``stream_ratio_family``)."""
+def enumerate_ratio_family(p: int, q: int, n: int) -> list[tuple[int, ...]]:
+    """Return the element tuple of every member of the ratio family at level
+    n, in EnumOrder, by scanning the 2**(n-1) subsets of {1..n} with maximum
+    n (the oracle for ``stream_ratio_family``)."""
     _require_ratio_domain(p, q, n, "enumerate_ratio_family")
     return _members_in_order(_ratio_member_masks(p, q, n, "enumerate_ratio_family"))

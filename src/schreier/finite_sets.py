@@ -11,8 +11,10 @@ pinned family (tag ``K``).
 
 All predicates take ``FiniteSet`` values: immutable, strictly increasing
 tuples of integers >= 1, rendered canonically as ``{2,3,5}`` (``{}`` for the
-empty set).  That rendering is byte-stable and is what the command line and
-the golden files emit.
+empty set).  That rendering is byte-stable.  The command line builds no
+``FiniteSet``: ``enumerate`` renders the listing routes' element tuples in
+the same ``{2,3,5}`` form itself (``cli._render_chunk``), and a test pins
+that its text output matches ``str(FiniteSet(E))`` member for member.
 """
 
 from __future__ import annotations

@@ -25,11 +25,10 @@ and k inside.
 includes are served from the runs ``all`` has just made whenever their
 ranges are the same.
 
-The structured routes are read as the command line reads them: the
-private tuple routes ``_a_members`` and ``_k_members`` give counts and
-plain element tuples, so a suite builds a ``FiniteSet`` only where a naive
-enumerator returns one (thm1_4's oracle levels) or a counterexample is
-named.
+Every listing route, structured or naive, gives its members as plain
+element tuples, which the suites compare as they are: thm1_4 checks each
+pinned level of ``stream_family_k`` against ``enumerate_family_k``.  So a
+suite builds a ``FiniteSet`` only to name a counterexample.
 
 The randomized checks (the seeded partial-sum difference lemmas) draw their
 seed vectors and input sequences from ``random.Random`` with the fixed
@@ -43,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bijections import verify_partition
+from .bijections import _set_of, verify_partition
 from .closed_forms import (
     band_count,
     closed_count,
@@ -58,10 +57,7 @@ from .closed_forms import (
 from .core import binom, fib, fib_binom_convolution
 from .enumeration import (
     _a_member_masks,
-    _a_members,
-    _k_members,
     _scan,
-    _set_of,
     _split_parts,
     _zero_weight_masks,
     count_family_a,
@@ -71,6 +67,8 @@ from .enumeration import (
     require_scan_within_cap,
     require_within_cap,
     scan_once,
+    stream_family_a,
+    stream_family_k,
 )
 from .errors import DomainError
 from .partial_sums import (
@@ -187,7 +185,7 @@ def suite_thm1_2(n_max=None, k_max=None, seed=None) -> list[Report]:
         for k in range(1, k_top + 1):
             for n in range(1, n_top + 1):
                 want = grid[k - 1][n - 1]
-                got = (closed_count(k, n), served[k - 1][n - 1], _a_members(k, n)[0])
+                got = (closed_count(k, n), served[k - 1][n - 1], stream_family_a(k, n)[0])
                 yield (f"k={k} n={n}", got, (want, want, want))
 
     expansion = _run_checks(
@@ -244,9 +242,9 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     sizes, agrees, splits, min2_members, min3_sizes = {}, {}, {}, {}, {}
     with scan_once():
         for n in range(2, level_top + 1):
-            members = list(_k_members(n)[1])
+            members = list(stream_family_k(n)[1])
             if n <= oracle_top:
-                agrees[n] = members == [F.elements for F in enumerate_family_k(n)]
+                agrees[n] = members == enumerate_family_k(n)
             has = Counter((2 in E, 3 in E) for E in members)
             sizes[n] = len(members)
             splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
@@ -316,7 +314,7 @@ def suite_prop3_1(n_max=None, k_max=None, seed=None) -> list[Report]:
                 want = fib(n + 1)
                 yield (
                     f"k={k} n={n}",
-                    (count_family_a(k, n), _a_members(k, n)[0]),
+                    (count_family_a(k, n), stream_family_a(k, n)[0]),
                     (want, want),
                 )
 

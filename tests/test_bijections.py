@@ -35,8 +35,8 @@ def test_diag_shift_examples():
 
 def test_diag_shift_images_stay_admissible():
     for n in range(2, 13):
-        for F in enumerate_family_a(n - 1, n - 1):
-            image = diag_shift(F, n)
+        for E in enumerate_family_a(n - 1, n - 1):
+            image = diag_shift(FiniteSet(E), n)
             assert in_weighted_family(image, n + 1)
             assert image.max == n + 1
 
@@ -181,6 +181,11 @@ def test_check_masks_flags_overlap_and_gap_at_once():
 # -- the mask maps and the shared scan ----------------------------------------
 
 
+def _sets(members):
+    """An oracle's element tuples as FiniteSets, for the maps on sets."""
+    return [FiniteSet(E) for E in members]
+
+
 def _reference_images(kind, n, k):
     """The maps as set operations, each case written out on FiniteSets, for
     the two domains of one level: [(domain, mask map, public map, reference)]."""
@@ -202,13 +207,13 @@ def _reference_images(kind, n, k):
     if kind == "thm1_1":
         return [
             (
-                enumerate_family_a(n - 1, n - 1),
+                _sets(enumerate_family_a(n - 1, n - 1)),
                 lambda m: bijections._diag_shift_mask(m, n),
                 lambda F: diag_shift(F, n),
                 lambda F: F.shift(1).with_element(n + 1),
             ),
             (
-                enumerate_family_a(n, n),
+                _sets(enumerate_family_a(n, n)),
                 lambda m: bijections._diag_swap_mask(m, n),
                 lambda F: diag_swap(F, n),
                 diag_swap_ref,
@@ -217,16 +222,21 @@ def _reference_images(kind, n, k):
     if kind == "rec3_1":
         return [
             (
-                enumerate_family_a(k - 1, n - 2),
+                _sets(enumerate_family_a(k - 1, n - 2)),
                 lambda m: bijections._column_shift_mask(m, n),
                 lambda F: column_shift(F, k, n),
                 lambda F: F.shift(1).with_element(n),
             )
         ]
     return [
-        (enumerate_family_k(n), bijections._shift_by_one_mask, shift_by_one, lambda F: F.shift(1)),
         (
-            enumerate_family_k(n - 1),
+            _sets(enumerate_family_k(n)),
+            bijections._shift_by_one_mask,
+            shift_by_one,
+            lambda F: F.shift(1),
+        ),
+        (
+            _sets(enumerate_family_k(n - 1)),
             lambda m: bijections._two_level_step_mask(m, n),
             lambda F: two_level_step(F, n),
             two_level_ref,

@@ -183,10 +183,10 @@ def test_enumerate_renders_the_oracle_members(capsys):
     ):
         assert len(members) > cli._CHUNK
         want = {
-            "text": "".join(f"{E}\n" for E in members),
+            "text": "".join(f"{FiniteSet(E)}\n" for E in members),
             "csv": "".join(",".join(str(x) for x in E) + "\n" for E in members),
             "json": json.dumps(
-                {**meta, "count": len(members), "sets": [list(E.elements) for E in members]},
+                {**meta, "count": len(members), "sets": [list(E) for E in members]},
                 separators=(",", ":"),
             ) + "\n",
         }
@@ -492,6 +492,32 @@ def test_commands_other_than_verify_load_no_verify_chain(argv, bare_modules):
     assert "schreier.enumeration" in modules
     assert not modules & _VERIFY_CHAIN
     assert not (modules - bare_modules) & {"dataclasses", "inspect"}
+
+
+_DRAIN_LISTINGS_AND_LIST_MODULES = """
+import sys
+from schreier.enumeration import (
+    enumerate_family_a, enumerate_family_k, enumerate_ratio_family,
+    stream_family_a, stream_family_k, stream_ratio_family,
+)
+listings = [
+    list(stream_family_a(3, 9)[1]), list(stream_family_k(11)[1]),
+    list(stream_ratio_family(1, 2, 9)[1]),
+    enumerate_family_a(3, 9), enumerate_family_k(11), enumerate_ratio_family(1, 2, 9),
+]
+assert all(listings)
+print(sum(type(E) is not tuple for members in listings for E in members), *sys.modules)
+"""
+
+
+def test_listing_routes_yield_element_tuples_and_load_no_finite_sets(bare_modules):
+    # Every library listing, structured and naive, gives plain tuples, so
+    # draining all six loads neither finite_sets nor dataclasses.
+    non_tuples, modules = _modules_after("-c", _DRAIN_LISTINGS_AND_LIST_MODULES)
+    assert non_tuples == 0
+    assert "schreier.enumeration" in modules
+    assert "schreier.finite_sets" not in modules
+    assert "dataclasses" not in modules - bare_modules
 
 
 def test_verify_loads_the_verify_chain():
