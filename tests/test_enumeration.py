@@ -42,6 +42,46 @@ def streamed(route, *args):
     return list(route(*args)[1])
 
 
+def _a_members(k, n):
+    """Family A's naive tuple route, as (count, members)."""
+    members = enumerate_family_a(k, n)
+    return len(members), iter(members)
+
+
+def _k_members(n):
+    """Family K's naive tuple route, as (count, members)."""
+    members = enumerate_family_k(n)
+    return len(members), iter(members)
+
+
+def _ratio_members(p, q, n):
+    """The ratio family's naive tuple route, as (count, members)."""
+    members = enumerate_ratio_family(p, q, n)
+    return len(members), iter(members)
+
+
+@pytest.mark.parametrize(
+    "stream, members, args",
+    [
+        (stream_family_a, _a_members, (3, 12)),
+        (stream_family_a, _a_members, (10**12, 9)),
+        (stream_family_k, _k_members, (16,)),
+        (stream_ratio_family, _ratio_members, (1, 2, 12)),
+        (stream_ratio_family, _ratio_members, (3, 1, 14)),
+    ],
+)
+def test_public_streams_wrap_the_tuple_routes(stream, members, args):
+    # Each public stream yields plain element tuples: the same count and the
+    # same members, in EnumOrder, as its family's naive tuple route.
+    count, tuples = stream(*args)
+    tuples = list(tuples)
+    naive_count, naive = members(*args)
+    assert count == naive_count == len(tuples)
+    assert all(type(t) is tuple for t in tuples)
+    assert tuples == list(naive)
+    assert tuples == sorted(tuples, key=enum_order)
+
+
 def test_enumerate_family_a_small_examples():
     for route in (enumerate_family_a, lambda k, n: streamed(stream_family_a, k, n)):
         assert canon(route(1, 1)) == ["{}", "{1}"]
@@ -178,20 +218,15 @@ def test_stream_counts_match_the_recurrences():
                 assert part_sum(enumeration._ratio_parts(p, q, n), n) == ratio_recurrence(
                     p, q, n
                 ), (p, q, n)
-    # Each stream's count is the number of members it yields, as element
-    # tuples in EnumOrder.
-    for stream, args in (
-        (stream_family_a, (3, 12)),
-        (stream_family_a, (10**12, 9)),
-        (stream_family_k, (16,)),
-        (stream_ratio_family, (1, 2, 12)),
-        (stream_ratio_family, (3, 1, 14)),
+    # Each stream's count is the number of members it yields, in EnumOrder.
+    for count, members in (
+        stream_family_a(3, 12),
+        stream_family_k(16),
+        stream_ratio_family(1, 2, 12),
     ):
-        count, members = stream(*args)
         members = list(members)
-        assert count == len(members), (stream, args)
-        assert all(type(E) is tuple for E in members), (stream, args)
-        assert members == sorted(members, key=enum_order), (stream, args)
+        assert count == len(members)
+        assert members == sorted(members, key=enum_order)
 
 
 def test_counts_by_min_follow_the_zero_weight_rule():
