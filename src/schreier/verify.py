@@ -12,8 +12,10 @@ thm1_1's partitions read one scan of family A's candidates, grown to the
 largest universe they read, {1..17} by default, and so do rec3_1's.
 thm1_1 checks each diagonal count a(n, n) of ``count_family_a``'s split
 tally against 2F(n), and up to that universe against the count its
-candidate scan gives too.  thm1_4 scans each pinned level once for its
-cross-checks and partitions.  A block never spans two suites.  The oracle
+candidate scan gives too.  thm1_4 makes one ascending pass over the pinned
+levels: it streams each level of ``stream_family_k`` once, tallies it as it
+streams and settles every check that level decides; the oracle scans each
+level the partitions read once.  A block never spans two suites.  The oracle
 counts of prop3_1 and mpq are split tallies, whose half scans are small
 and never kept, so those suites open no block: mpq counts the masks of all
 its 9 x n_max tallies against the size cap before the first.  eq1_2 tests
@@ -26,9 +28,11 @@ includes are served from the runs ``all`` has just made whenever their
 ranges are the same.
 
 Every listing route, structured or naive, gives its members as plain
-element tuples, which the suites compare as they are: thm1_4 checks each
-pinned level of ``stream_family_k`` against ``enumerate_family_k``.  So a
-suite builds a ``FiniteSet`` only to name a counterexample.
+element tuples, which the suites compare as they are: thm1_4 checks the
+pinned levels of ``stream_family_k`` that its partitions scan, 2..19 by
+default, against ``enumerate_family_k`` and holds only those whole; past
+them it checks each level's size against F(n - 1).  So a suite builds a
+``FiniteSet`` only to name a counterexample.
 
 The randomized checks (the seeded partial-sum difference lemmas) draw their
 seed vectors and input sequences from ``random.Random`` with the fixed
@@ -228,74 +232,63 @@ def suite_thm1_4(n_max=None, k_max=None, seed=None) -> list[Report]:
     case_top = n_max if n_max is not None else 22
     part_top = n_max if n_max is not None else 18
     claim_top = n_max if n_max is not None else 18
-    # The checks read pinned levels 2..level_top: counts at n, case splits
-    # at n + 1, claims at n - 1.  The partition at n scans levels up to
-    # n + 1 with the naive oracle, the largest scan the suite makes.
-    level_top = max(count_top, case_top + 1, claim_top - 1)
+    # The partition at n scans levels up to n + 1 with the naive oracle,
+    # the largest scan the suite makes.
     require_scan_within_cap(part_top, "suite thm1_4")
     # The structured levels are checked against the oracle on the levels
     # that the partitions scan anyway.
     oracle_top = min(count_top, part_top + 1)
 
-    # Each level is built once, as element tuples; only these small facts
-    # outlive it.  The oracle's pinned levels are kept for the partitions.
-    sizes, agrees, splits, min2_members, min3_sizes = {}, {}, {}, {}, {}
+    # One ascending pass streams each pinned level L once and settles the
+    # count at n = L, the case split and the partition at n = L - 1, and the
+    # claims at n = L + 1.  Only an oracle level is held whole, to compare.
+    counts, splits, partitions, min2, min3 = [], [], [], [], []
     with scan_once():
-        for n in range(2, level_top + 1):
-            members = list(stream_family_k(n)[1])
-            if n <= oracle_top:
-                agrees[n] = members == enumerate_family_k(n)
-            has = Counter((2 in E, 3 in E) for E in members)
-            sizes[n] = len(members)
-            splits[n] = (has[True, True], has[True, False], has[False, True], has[False, False])
-            min2_members[n] = [E for E in members if len(E) > 1 and E[0] == 2]
-            min3_sizes[n] = [len(E) for E in members if len(E) > 1 and E[0] == 3]
-            del members
-        partition = _run_checks(
-            "pinned-partition",
-            f"n=3..{part_top}",
-            (
-                (f"n={n}", verify_partition("thm1_4", n).ok, True)
-                for n in range(3, part_top + 1)
-            ),
-        )
-
-    def case_cases():
-        for n in range(3, case_top + 1):
-            want = family_k_case_counts(n)
-            yield (f"n={n}", splits[n + 1], want)
-            yield (f"n={n} total", want.total, fib(n))
-            yield (f"n={n} nonneg", min(want) >= 0, True)
-
-    def claim_min2():
-        for n in range(3, claim_top + 1):
-            if n < 5:
-                yield (f"n={n} vacuous", min2_members[n - 1], [])
-            else:
-                yield (f"n={n}", min2_members[n - 1], [(2, 3, n - 1)])
-
-    def claim_min3():
-        for n in range(3, claim_top + 1):
-            got = min3_sizes[n - 1]
-            if n < 6:
-                yield (f"n={n} vacuous", got, [])
-            else:
-                yield (f"n={n}", got, [3] * len(got))
-
-    def count_cases():
-        for n in range(2, count_top + 1):
-            want = family_k_count(n)
-            if n in agrees:
-                yield (f"n={n}", (sizes[n], agrees[n]), (want, True))
-            else:
-                yield (f"n={n}", sizes[n], want)
+        for L in range(2, max(count_top, case_top + 1, claim_top - 1) + 1):
+            _, members = stream_family_k(L)
+            if L <= oracle_top:
+                members = list(members)
+                agrees = members == enumerate_family_k(L)
+            has, min2_members, min3_sizes = Counter(), [], []
+            for E in members:
+                has[2 in E, 3 in E] += 1
+                if len(E) > 1 and E[0] == 2:
+                    min2_members.append(E)
+                elif len(E) > 1 and E[0] == 3:
+                    min3_sizes.append(len(E))
+            if L <= count_top:
+                got, want = has.total(), family_k_count(L)
+                if L <= oracle_top:
+                    got, want = (got, agrees), (want, True)
+                counts.append((f"n={L}", got, want))
+            n = L - 1
+            if 3 <= n <= case_top:
+                want = family_k_case_counts(n)
+                got = (has[True, True], has[True, False], has[False, True], has[False, False])
+                splits += [
+                    (f"n={n}", got, want),
+                    (f"n={n} total", want.total, fib(n)),
+                    (f"n={n} nonneg", min(want) >= 0, True),
+                ]
+            if 3 <= n <= part_top:
+                partitions.append((f"n={n}", verify_partition("thm1_4", n).ok, True))
+            n = L + 1
+            if 3 <= n <= claim_top:
+                if n < 5:
+                    min2.append((f"n={n} vacuous", min2_members, []))
+                else:
+                    min2.append((f"n={n}", min2_members, [(2, 3, L)]))
+                if n < 6:
+                    min3.append((f"n={n} vacuous", min3_sizes, []))
+                else:
+                    min3.append((f"n={n}", min3_sizes, [3] * len(min3_sizes)))
 
     return [
-        _run_checks("pinned-count-vs-enumeration", f"n=2..{count_top}", count_cases()),
-        _run_checks("pinned-case-split", f"n=3..{case_top}", case_cases()),
-        partition,
-        _run_checks("pinned-min2-members", f"n=3..{claim_top}", claim_min2()),
-        _run_checks("pinned-min3-members", f"n=3..{claim_top}", claim_min3()),
+        _run_checks("pinned-count-vs-enumeration", f"n=2..{count_top}", counts),
+        _run_checks("pinned-case-split", f"n=3..{case_top}", splits),
+        _run_checks("pinned-partition", f"n=3..{part_top}", partitions),
+        _run_checks("pinned-min2-members", f"n=3..{claim_top}", min2),
+        _run_checks("pinned-min3-members", f"n=3..{claim_top}", min3),
     ]
 
 
@@ -368,13 +361,10 @@ def suite_lemma3_3(n_max=None, k_max=None, seed=None) -> list[Report]:
 
     def cases():
         for trial, b, a in _random_vectors(rng_seed, k_top, n_top):
-            zero_route = {
-                k: repeated_partial_sum(a, k) for k in range(1, k_top + 1)
-            }
             for k in range(1, k_top + 1):
                 seeds = b[:k]
                 seeded = iterated_partial_sum(seeds, a)
-                plain = zero_route[k]
+                plain = repeated_partial_sum(a, k)
                 for n in range(0, n_top + 1):
                     want = sum(binom(n, i) * seeds[k - 1 - i] for i in range(k))
                     yield (

@@ -24,6 +24,7 @@ from schreier.verify import SUITE_ORDER
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
 VERIFY_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
 VERIFY_SMALL_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all_small.txt"
+THM1_4_SMALL_GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_thm1_4_small.txt"
 ENUMERATE_GOLDENS = {
     "enumerate_a_3_9.txt": ["--family", "A", "--k", "3", "--n", "9", "--format", "text"],
     "enumerate_k_11.csv": ["--family", "K", "--n", "11", "--format", "csv"],
@@ -389,6 +390,17 @@ def test_verify_all_with_range_overrides_matches_golden_file():
     result = run_cli(["verify", "--suite", "all", "--n-max", "10", "--k-max", "4"])
     assert result.returncode == 0
     assert result.stdout == VERIFY_SMALL_GOLDEN.read_bytes()
+
+
+def test_verify_thm1_4_small_ranges_match_golden_file(capsys):
+    # --n-max 3..8 reach the vacuous min-2 claims (n < 5), the vacuous min-3
+    # claims (n < 6) and the first partitions.
+    out = []
+    for k in range(3, 9):
+        code, text, _ = main_out(capsys, ["verify", "--suite", "thm1_4", "--n-max", str(k)])
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == THM1_4_SMALL_GOLDEN.read_text()
 
 
 def test_verify_identities_forwards_k_max_to_both_included_suites(capsys):

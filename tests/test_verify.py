@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import schreier.core as core
-from schreier import closed_forms, enumeration, verify
+from schreier import bijections, closed_forms, enumeration, verify
 from schreier.errors import DomainError
 from schreier.finite_sets import FiniteSet
 from schreier.verify import DEFAULT_SEED, Report, SUITE_ORDER, SUITES, run_suite
@@ -131,6 +131,127 @@ def test_thm1_4_scans_each_pinned_level_once(monkeypatch):
     assert all(r.passed for r in run_suite("thm1_4"))
     assert scans == [(n - 1, n, "enumerate_family_k") for n in range(2, 20)]
     assert built == list(range(2, 24))
+
+
+def test_thm1_4_holds_at_most_one_compared_level(monkeypatch):
+    # thm1_4 lists a level only to compare it with the oracle, levels 2..19,
+    # and streams the rest.  So at most level 19's F(18) = 2,584 members are
+    # alive at once, with the min-2 member each of the 16 claims may keep;
+    # level 23 alone has F(22) = 17,711.
+    live = peak = 0
+
+    class Member(tuple):
+        def __new__(cls, elements):
+            nonlocal live, peak
+            live += 1
+            peak = max(peak, live)
+            return super().__new__(cls, elements)
+
+        def __del__(self):
+            nonlocal live
+            live -= 1
+
+    stream = verify.stream_family_k
+
+    def counted(n):
+        count, members = stream(n)
+        return count, map(Member, members)
+
+    monkeypatch.setattr(verify, "stream_family_k", counted)
+    assert all(r.passed for r in run_suite("thm1_4"))
+    assert core.fib(18) <= peak <= core.fib(18) + 16
+    assert live == 0
+
+
+def _stream_fault(level, mangle):
+    """A fault that passes level ``level`` of the structured stream through
+    ``mangle``."""
+
+    def fault(monkeypatch):
+        stream = verify.stream_family_k
+
+        def faulty(n):
+            count, members = stream(n)
+            return count, (mangle(members) if n == level else members)
+
+        monkeypatch.setattr(verify, "stream_family_k", faulty)
+
+    return fault
+
+
+def _count_fault(monkeypatch):
+    count = verify.family_k_count
+    monkeypatch.setattr(verify, "family_k_count", lambda n: count(n) + (n == 20))
+
+
+def _case_fault(monkeypatch):
+    def moved(n):
+        c = closed_forms.family_k_case_counts(n)
+        if n != 12:
+            return c
+        return c._replace(with_both=c.with_both + 1, with_neither=c.with_neither - 1)
+
+    monkeypatch.setattr(verify, "family_k_case_counts", moved)
+
+
+def _partition_fault(monkeypatch):
+    # Members of size 4 or more, first met at level 8, leave every codomain.
+    step = bijections._two_level_step_mask
+
+    def broken(m, n):
+        return step(m, n) | (1 << (n + 3) if m.bit_count() >= 4 else 0)
+
+    monkeypatch.setattr(bijections, "_two_level_step_mask", broken)
+
+
+@pytest.mark.parametrize(
+    "fault, failures",
+    [
+        pytest.param(
+            _count_fault,
+            {"pinned-count-vs-enumeration": "n=20: got 4181, expected 4182"},
+            id="count-past-the-oracle",
+        ),
+        pytest.param(
+            _case_fault,
+            {
+                "pinned-case-split": "n=12: got (1, 0, 9, 134), expected CaseCounts("
+                "with_both=2, with_two_only=0, with_three_only=9, with_neither=133)",
+            },
+            id="case-split",
+        ),
+        pytest.param(
+            _partition_fault,
+            {"pinned-partition": "n=9: got False, expected True"},
+            id="partition",
+        ),
+        pytest.param(
+            _stream_fault(10, lambda members: (E for E in members if E != (2, 3, 10))),
+            {
+                "pinned-count-vs-enumeration": "n=10: got (33, False), expected (34, True)",
+                "pinned-case-split": "n=9: got (0, 0, 6, 27), expected CaseCounts("
+                "with_both=1, with_two_only=0, with_three_only=6, with_neither=27)",
+                "pinned-min2-members": "n=11: got [], expected [(2, 3, 10)]",
+            },
+            id="min2-member-dropped",
+        ),
+        pytest.param(
+            _stream_fault(9, lambda members: ((3, 4, 5, 9) if E == (3, 4, 9) else E for E in members)),
+            {
+                "pinned-count-vs-enumeration": "n=9: got (21, False), expected (21, True)",
+                "pinned-min3-members": "n=10: got [4, 3, 3, 3, 3], expected [3, 3, 3, 3, 3]",
+            },
+            id="min3-member-grown",
+        ),
+    ],
+)
+def test_thm1_4_names_the_first_counterexample_of_each_report(monkeypatch, fault, failures):
+    # Each fault is first seen at the level named; the reports it does not
+    # reach still pass.
+    fault(monkeypatch)
+    reports = run_suite("thm1_4")
+    assert [r.checks for r in reports] == [21, 60, 16, 16, 16]
+    assert {r.identity: r.counterexample for r in reports if not r.passed} == failures
 
 
 @pytest.mark.parametrize("name", ["all", "thm1_4"])
