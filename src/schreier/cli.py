@@ -4,21 +4,27 @@ Each command maps its argument values to one library route, which checks
 its own bounds and size cap, and returns its exit code with its output as
 chunks of text.  ``main`` is the one writer: it writes the chunks as they
 come, so ``enumerate``, whose chunks are rendered from the member stream one
-at a time, streams, while ``table``, ``verify`` and ``sequence`` are one
-chunk each.
+at a time, and ``sequence``, whose terms are computed and rendered one chunk
+each, stream, while ``table`` and ``verify`` are one chunk each.
+``sequence`` walks the Fibonacci numbers by exact decimal addition, so its
+terms are never converted from ints to text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 request
 exceeded a size cap (candidate sets for a brute-force route, bits of values
-for a table or sequence) or ran out of memory.  A reader that closes stdout
-early (say, ``| head``) changes no exit code: ``main`` stops writing,
-``enumerate`` exits 0, and ``verify`` still exits 1 on a counterexample.
+for a table or sequence) or ran out of memory, 4 internal error (any other
+exception, reported as one ``schreier: internal error:`` line on stderr).
+A reader that closes stdout early (say, ``| head``) changes no exit code:
+``main`` stops writing, ``enumerate`` exits 0, and ``verify`` still exits 1
+on a counterexample.  ``main`` lifts CPython's limit on converting long ints
+to text while it runs, so a table cell of any length the cap admits prints.
 
 All output is deterministic: the same invocation produces byte-identical
 stdout, with LF line endings, so table output can be diffed against golden
 files.
 
 Each command loads only the modules it runs.  ``table``, ``enumerate`` and
-``sequence`` read ``core``, ``closed_forms`` and ``enumeration``; ``verify``
+``sequence`` read ``core``, ``closed_forms`` and ``enumeration``, and
+``sequence`` also imports ``decimal`` on its first term; ``verify``
 also reads the verify chain (``verify``, ``bijections``, ``finite_sets`` and
 ``partial_sums``), which ``run_suite`` imports on its first call, so the
 other commands pay nothing for it at start-up.
@@ -33,13 +39,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .closed_forms import (
-    closed_table,
-    diagonal_count,
-    family_k_count,
-    recurrence_table,
-)
-from .core import fib
+from .closed_forms import closed_table, recurrence_table
 from .enumeration import (
     count_family_a_grid,
     require_bits_within_cap,
@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 _FORMATS = ("csv", "json", "text")
 # verify.SUITE_ORDER and "all", spelled out so that building the parser does
@@ -266,29 +267,51 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 # -- sequence -----------------------------------------------------------------
 
 
-def _sequence_values(name: str, n_max: int) -> tuple[int, list[int]]:
-    start, term = {
-        "a-diag": (1, diagonal_count),
-        "k-count": (2, family_k_count),
-        "fib": (0, fib),
-    }[name]
-    if n_max < start:
-        raise DomainError(f"sequence {name}: n-max must be >= {start}, got {n_max}")
-    # The term at index n is at most 2^n: a(n, n) <= 2^n, F(n) < 2^n.
-    require_bits_within_cap(n_max * (n_max + 1) // 2, f"sequence {name}: n-max {n_max}")
-    return start, [term(n) for n in range(start, n_max + 1)]
+# name: (start, shift, mult), its term at each index n >= start being
+# mult * F(n - shift): a(n, n) = 2F(n), K(n) = F(n - 1), F(n).
+_SEQUENCES = {"a-diag": (1, 0, 2), "k-count": (2, 1, 1), "fib": (0, 0, 1)}
 
 
 def _cmd_sequence(args: argparse.Namespace) -> _Output:
-    start, values = _sequence_values(args.name, args.n_max)
-    if args.fmt == "text":
-        out = "".join(f"{n} {v}\n" for n, v in enumerate(values, start))
-    elif args.fmt == "csv":
-        out = "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start))
-    else:
-        payload = {"name": args.name, "start": start, "values": values}
-        out = json.dumps(payload, separators=(",", ":")) + "\n"
-    return EXIT_OK, [out]
+    start = _SEQUENCES[args.name][0]
+    if args.n_max < start:
+        raise DomainError(f"sequence {args.name}: n-max must be >= {start}, got {args.n_max}")
+    # The term at index n is at most 2^n: a(n, n) <= 2^n, F(n) < 2^n.
+    require_bits_within_cap(
+        args.n_max * (args.n_max + 1) // 2, f"sequence {args.name}: n-max {args.n_max}"
+    )
+    return EXIT_OK, _sequence_chunks(args.name, args.n_max, args.fmt)
+
+
+def _sequence_chunks(name: str, n_max: int, fmt: str) -> Iterator[str]:
+    """Render the terms one chunk each, the first with the header and the
+    last with the trailer.  The Fibonacci numbers are walked by exact
+    decimal addition, whose str() is linear in the digits, where an int's is
+    quadratic and refused past a digit limit; a digit lost to the context
+    would raise, so none is ever printed."""
+    import decimal
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+    )
+    start, shift, mult = _SEQUENCES[name]
+    header = _encode_json({"name": name, "start": start, "values": []})[:-2]  # ...,"values":[
+    lead, sep, line, tail = {
+        "text": ("", "", "{} {}\n", ""),
+        "csv": ("n,value\n", "", "{},{}\n", ""),
+        "json": (header, ",", "{1}", "]}\n"),
+    }[fmt]
+    f, g = decimal.Decimal(0), decimal.Decimal(1)  # F(i), F(i + 1)
+    for _ in range(start - shift):
+        f, g = g, ctx.add(f, g)
+    for n in range(start, n_max + 1):
+        term = str(ctx.multiply(f, mult))
+        yield lead + line.format(n, term) + (tail if n == n_max else "")
+        lead = sep
+        f, g = g, ctx.add(f, g)
 
 
 _COMMANDS = {
@@ -302,6 +325,12 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # CPython 3.11+ refuses str() of an int past 4,300 digits, which a table
+    # cell can reach below the size cap; the caller's limit comes back after.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         code, chunks = _COMMANDS[args.command](args)
         for chunk in chunks:
@@ -321,6 +350,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"schreier: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A bug, not an answer: exit 1 would claim a counterexample.
+        reason = str(exc).partition("\n")[0]
+        print(f"schreier: internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

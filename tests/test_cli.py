@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: golden output, formats, and exit codes."""
 
+import inspect
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -9,14 +11,20 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import schreier.core as core
 from schreier import cli, enumeration
-from schreier.closed_forms import ratio_recurrence
+from schreier.closed_forms import (
+    diagonal_count,
+    family_k_count,
+    ratio_recurrence,
+    recurrence_table,
+)
+from schreier.errors import DomainError, SizeLimitError
 from schreier.enumeration import enumerate_family_a, enumerate_family_k, enumerate_ratio_family
 from schreier.finite_sets import FiniteSet
 from schreier.verify import SUITE_ORDER
@@ -45,6 +53,24 @@ def main_out(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# CPython 3.11+ limits str() and int() of long ints; 3.10 has no limit.
+LIMITS_INT_DIGITS = hasattr(sys, "set_int_max_str_digits")
+
+
+@contextmanager
+def int_digits_limit(limit):
+    """Set the int/str conversion digit limit (0 lifts it) for the block."""
+    if not LIMITS_INT_DIGITS:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # -- table ---------------------------------------------------------------
@@ -281,6 +307,7 @@ def test_enumerate_into_a_closed_pipe_exits_zero():
         (["verify", "--suite", "thm1_4", "--n-max", "1"], 1),
         (["verify", "--suite", "eq3_9", "--n-max", "10", "--k-max", "3"], 0),
         (["table", "--k-max", "3", "--n-max", "5"], 0),
+        (["sequence", "--name", "fib", "--n-max", "3000"], 0),
     ],
 )
 def test_a_closed_reader_changes_no_exit_code(argv, want):
@@ -353,6 +380,66 @@ def test_sequence_json(capsys):
     assert out == '{"name":"fib","start":0,"values":[0,1,1,2]}\n'
 
 
+def _sequence_reference(name, n_max, fmt):
+    """sequence's output rendered from the library's values."""
+    start, term = {
+        "a-diag": (1, diagonal_count),
+        "k-count": (2, family_k_count),
+        "fib": (0, core.fib),
+    }[name]
+    values = [term(n) for n in range(start, n_max + 1)]
+    if fmt == "json":
+        payload = {"name": name, "start": start, "values": values}
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        return "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start))
+    return "".join(f"{n} {v}\n" for n, v in enumerate(values, start))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name, start", [("a-diag", 1), ("k-count", 2), ("fib", 0)])
+def test_sequence_matches_the_library_values(capsys, name, start, fmt):
+    # The CLI walks F by decimal addition; fib, diagonal_count and
+    # family_k_count are the library's own values.
+    for n_max in [*range(start, 61), 3000]:
+        argv = ["sequence", "--name", name, "--n-max", str(n_max), "--format", fmt]
+        assert main_out(capsys, argv) == (0, _sequence_reference(name, n_max, fmt), ""), n_max
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_sequence_streams_one_term_per_chunk(fmt):
+    parser = cli.build_parser()
+    args = parser.parse_args(["sequence", "--name", "k-count", "--n-max", "40", "--format", fmt])
+    code, chunks = cli._cmd_sequence(args)
+    # A generator that has computed nothing yet.
+    assert code == 0 and inspect.getgeneratorstate(chunks) == inspect.GEN_CREATED
+    chunks = list(chunks)
+    # One term per chunk: the header rides on the first, the trailer on the last.
+    items = [(n, family_k_count(n)) for n in range(2, 41)]
+    head, items, tail = {
+        "text": ("", [f"{n} {v}\n" for n, v in items], ""),
+        "csv": ("n,value\n", [f"{n},{v}\n" for n, v in items], ""),
+        "json": ('{"name":"k-count","start":2,"values":[', [f",{v}" for _, v in items], "]}\n"),
+    }[fmt]
+    items[0] = head + items[0].removeprefix(",")
+    items[-1] += tail
+    assert chunks == items
+    # The terms are computed as they are taken.
+    args = parser.parse_args(["sequence", "--name", "fib", "--n-max", "23000", "--format", fmt])
+    chunks = cli._cmd_sequence(args)[1]
+    first = list(itertools.islice(chunks, 3))
+    assert inspect.getgeneratorstate(chunks) == inspect.GEN_SUSPENDED
+    assert "".join(first) == _sequence_reference("fib", 2, fmt).removesuffix("]}\n")
+
+
+def test_sequence_refuses_before_its_first_term():
+    parser = cli.build_parser()
+    with pytest.raises(DomainError, match="^sequence k-count: n-max must be >= 2, got 1$"):
+        cli._cmd_sequence(parser.parse_args(["sequence", "--name", "k-count", "--n-max", "1"]))
+    with pytest.raises(SizeLimitError, match="^sequence fib: n-max 30000: "):
+        cli._cmd_sequence(parser.parse_args(["sequence", "--name", "fib", "--n-max", "30000"]))
+
+
 def test_the_value_cap_admits_the_largest_benchmark_requests(capsys):
     for argv in (
         ["table", "--k-max", "260", "--n-max", "260", "--source", "closed", "--format", "csv"],
@@ -361,8 +448,41 @@ def test_the_value_cap_admits_the_largest_benchmark_requests(capsys):
     ):
         code, _, err = main_out(capsys, argv)
         assert (code, err) == (0, ""), argv
-    # F(21000) has more than 4,300 digits, so only the values are built here.
-    assert len(cli._sequence_values("fib", 21000)[1]) == 21001
+    # F(21000) has 4,389 digits, past the 4,300 that CPython 3.11+ converts.
+    code, out, err = main_out(capsys, ["sequence", "--name", "fib", "--n-max", "21000"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 21001
+    index, value = lines[-1].split()
+    with int_digits_limit(0):
+        assert (index, int(value)) == ("21000", core.fib(21000))
+
+
+@pytest.mark.skipif(not LIMITS_INT_DIGITS, reason="no int/str digit limit before 3.11")
+def test_table_cells_past_the_int_digit_limit_are_served(capsys):
+    # a(1, 3200) has 669 digits, past the smallest limit CPython accepts.
+    with int_digits_limit(0):
+        row = recurrence_table(1, 3200)[0]
+        want = "k\\n," + ",".join(map(str, range(1, 3201))) + "\n"
+        want += "1," + ",".join(map(str, row)) + "\n"
+    with int_digits_limit(640):
+        for source in ("closed", "recurrence"):
+            argv = ["table", "--source", source, "--k-max", "1", "--n-max", "3200",
+                    "--format", "csv"]
+            assert main_out(capsys, argv) == (0, want, ""), source
+            assert sys.get_int_max_str_digits() == 640, source
+
+
+def test_an_unexpected_exception_exits_4(capsys, monkeypatch):
+    # A bug is not a counterexample, so it must not exit 1.
+    def broken(k_max, n_max):
+        raise AssertionError("ratio_recurrence: negative count\nsecond line")
+
+    monkeypatch.setattr(cli, "recurrence_table", broken)
+    argv = ["table", "--source", "recurrence", "--k-max", "2", "--n-max", "3"]
+    code, out, err = main_out(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == "schreier: internal error: AssertionError: ratio_recurrence: negative count\n"
 
 
 # -- verify --------------------------------------------------------------
@@ -504,6 +624,8 @@ def test_commands_other_than_verify_load_no_verify_chain(argv, bare_modules):
     assert "schreier.enumeration" in modules
     assert not modules & _VERIFY_CHAIN
     assert not (modules - bare_modules) & {"dataclasses", "inspect"}
+    # Only the sequence route reads decimal, so importing the CLI does not.
+    assert ("decimal" in modules) == (argv[0] == "sequence")
 
 
 _DRAIN_LISTINGS_AND_LIST_MODULES = """
